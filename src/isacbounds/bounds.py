@@ -6,14 +6,20 @@ bound is the trace of the inverse of the sum. Per-link velocity information
 is rank one (a link only measures the radial velocity component), so
 velocity bounds require at least two links with non-collinear geometry.
 
-Degenerate links (target behind the array, coincident with a node, or on a
-tx-rx baseline) contribute nothing and raise a structured flag instead of
-aborting, so that coverage maps can render degenerate regions.
+Every network bound reads one per-link primitive, link_constants: a link's
+SNR, local DoA, ranges, target offsets and bistatic observables at the
+target. One loop over the sensing links (_link_table) calls it and turns
+degenerate links (target behind the array, coincident with a node, or on a
+tx-rx baseline) into one flag per link instead of aborting, so that
+coverage maps can render degenerate regions. The position information, the
+rank-one velocity piece and the 4x4 state information of a link are all
+computed from its constants.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .errors import (
     UndefinedHeadingError,
 )
 from .link import FisherMatrix, LinkGeometry, link_snr
-from .model import SPEED_OF_LIGHT, Node, Scenario, SystemParams, TargetState, derive_frame
+from .model import SPEED_OF_LIGHT, Node, Scenario, SystemParams, TargetState
 
 C = SPEED_OF_LIGHT
 
@@ -76,10 +82,9 @@ def link_geometry(link: SensingLink, t: TargetState) -> LinkGeometry:
 
 def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single co-located Tx/Rx node."""
-    doa, r = geom.local_doa(node, t.position)
-    g = LinkGeometry.monostatic(r, doa)
-    snr = link_snr(p, g, t.rcs, node.power_scale)["snr"]
-    fr = derive_frame(p)
+    lc = link_constants(SensingLink(node.id, node, node, "monostatic", node.power_scale), t, p)
+    snr, r, doa = lc.snr, lc.geometry.range_rx, lc.geometry.doa_local
+    fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     eta = p.constellation.penalty
     crlb = 6.0 * eta / (math.pi**2 * k * m * nr * snr) * (
@@ -91,16 +96,13 @@ def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
 
 def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single separated Tx/Rx pair."""
-    obs = geom.bis_observables(tx, rx, t, p.wavelength)
+    lc = link_constants(SensingLink(rx.id, tx, rx, "bistatic", tx.power_scale), t, p)
+    if lc.on_baseline:
+        return math.inf
+    obs, snr = lc.obs, lc.snr
     rbar, l, thl = obs.bistatic_range, obs.baseline, obs.look_angle
     guard = rbar - l * math.cos(thl)
-    if guard <= geom.BASELINE_DEGENERACY_RTOL * rbar:
-        return math.inf
-    r_rx = math.hypot(t.position[0] - rx.position[0], t.position[1] - rx.position[1])
-    g = LinkGeometry(kind="bistatic", range_tx=rbar - r_rx,
-                     range_rx=r_rx, doa_local=obs.doa)
-    snr = link_snr(p, g, t.rcs, tx.power_scale)["snr"]
-    fr = derive_frame(p)
+    fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     eta = p.constellation.penalty
     a = l**2 + rbar**2 - 2.0 * l * rbar * math.cos(thl)
@@ -112,12 +114,68 @@ def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float
 
 
 # ---------------------------------------------------------------------------
-# per-link information pieces (global frame)
+# the per-link primitive
+
+
+class LinkConstants(NamedTuple):
+    """What every bound reads of one link at one target position."""
+
+    snr: float                  # per-antenna SNR before symbol division
+    geometry: LinkGeometry      # ranges and local DoA at the rx
+    d_tx: tuple[float, float]   # target minus tx position, m
+    d_rx: tuple[float, float]   # target minus rx position, m
+    obs: geom.LocalObservables | None  # separated pairs only
+    on_baseline: bool           # the ellipse guard trips (separated pairs only)
+
+
+def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkConstants:
+    """Constants of one link at the target position. Raises OutOfFieldError
+    or SingularGeometryError when the target is behind the rx array or
+    coincides with a node; a target on the tx-rx baseline only sets
+    on_baseline."""
+    g = link_geometry(link, t)
+    snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
+    px, py = t.position
+    d_rx = (px - link.rx.position[0], py - link.rx.position[1])
+    if link.kind == "monostatic":
+        return LinkConstants(snr, g, d_rx, d_rx, None, False)
+    obs = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
+    guard = obs.bistatic_range - obs.baseline * math.cos(obs.look_angle)
+    return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
+                         obs, guard <= geom.BASELINE_DEGENERACY_RTOL * obs.bistatic_range)
+
+
+def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
+    """([(link, constants or None, used)], flags) over all sensing links,
+    one flag per unused link. A link is unused when its constants raised or,
+    unless keep_baseline, the target is on its tx-rx baseline, where the 2x2
+    closed forms divide by the vanishing ellipse guard."""
+    table = []
+    flags = []
+    for link in sensing_links(s):
+        lc = None
+        try:
+            lc = link_constants(link, t, s.params)
+        except OutOfFieldError:
+            flags.append(f"{link.node_id}: out-of-field")
+        except SingularGeometryError as exc:
+            flags.append(f"{link.node_id}: {exc}")
+        used = lc is not None and (keep_baseline or not lc.on_baseline)
+        if lc is not None and not used:
+            flags.append(f"{link.node_id}: target on the tx-rx baseline")
+        table.append((link, lc, used))
+    if not any(used for _, _, used in table):
+        raise NoInformationError("no link contributes information")
+    return table, flags
+
+
+# ---------------------------------------------------------------------------
+# per-link information, read from the link constants
 
 
 def _efim_diag(p: SystemParams, snr: float, doa: float) -> tuple[float, float, float]:
     """Diagonal (doppler, delay, doa) of the local effective Fisher matrix."""
-    fr = derive_frame(p)
+    fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     pref = snr * nr * k * m / p.constellation.penalty
     pi = math.pi
@@ -130,7 +188,7 @@ def _efim_diag(p: SystemParams, snr: float, doa: float) -> tuple[float, float, f
 
 def _mono_local_position_info(p: SystemParams, snr: float, p_local, doa: float) -> np.ndarray:
     """Local-frame position information of a co-located node, element form."""
-    fr = derive_frame(p)
+    fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     x, y = float(p_local[0]), float(p_local[1])
     r2 = x * x + y * y
@@ -145,42 +203,42 @@ def _mono_local_position_info(p: SystemParams, snr: float, p_local, doa: float) 
     ])
 
 
-def _bis_local_position_info(p: SystemParams, snr: float, obs: geom.LocalObservables) -> np.ndarray:
-    """Local-frame position information of a separated pair via the inverse
-    of the analytic (delay, doa) -> local-position Jacobian."""
-    _, d_tau, d_theta = _efim_diag(p, snr, obs.doa)
-    j_inv = geom.jac_bis_position(obs)  # raises on baseline degeneracy
-    j_fwd = np.linalg.inv(j_inv)
-    return j_fwd.T @ np.diag([d_tau, d_theta]) @ j_fwd
+def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants,
+                   t: TargetState) -> np.ndarray:
+    """Position information of one link, global frame; a separated pair's
+    via the inverse of the (delay, doa) -> local-position Jacobian."""
+    if link.kind == "monostatic":
+        p_local = geom.global_to_local(t.position, link.rx)
+        local = _mono_local_position_info(p, lc.snr, p_local, lc.geometry.doa_local)
+    else:
+        _, d_tau, d_theta = _efim_diag(p, lc.snr, lc.obs.doa)
+        j_fwd = np.linalg.inv(geom.jac_bis_position(lc.obs))
+        local = j_fwd.T @ np.diag([d_tau, d_theta]) @ j_fwd
+    j_rot = geom.jac_rotation(link.rx.orientation)
+    return j_rot.T @ local @ j_rot
 
 
-def _k_mono(p: SystemParams, snr: float, doa: float, dx: float, dy: float,
-            r: float, vx, vy):
-    """Coefficient of the rank-one velocity information of a co-located
-    node; vx, vy may be arrays over Monte-Carlo headings."""
-    fr = derive_frame(p)
-    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    ts, lam = p.symbol_duration, p.wavelength
-    cos2 = math.cos(doa) ** 2
-    cross = dx * vy - dy * vx
-    num = (8.0 * math.pi**2 * snr * nr * k * m * ts**2
-           * (m**2 - 1) * (nr**2 - 1) * cos2)
-    den = p.constellation.penalty * (
-        48.0 * ts**2 * (m**2 - 1) * cross**2
-        + 3.0 * (nr**2 - 1) * r**2 * lam**2 * cos2
-    )
-    return num / den
-
-
-def _k_bis(p: SystemParams, snr: float, doa: float, dxt: float, dyt: float,
-           dxn: float, dyn: float, r_tx: float, r_rx: float, vx, vy):
-    """Coefficient of the rank-one velocity information of a separated pair;
-    vx, vy may be arrays over Monte-Carlo headings."""
-    fr = derive_frame(p)
+def _velocity_info(p: SystemParams, link: SensingLink, lc: LinkConstants, vx, vy) -> np.ndarray:
+    """Rank-one velocity information kn * w w^T of one link, global frame;
+    vx, vy arrays of n headings give a (2, 2, n) stack."""
+    fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
-    cos2 = math.cos(doa) ** 2
-    a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * snr
+    cos2 = math.cos(lc.geometry.doa_local) ** 2
+    r_tx, r_rx = lc.geometry.range_tx, lc.geometry.range_rx
+    dxn, dyn = lc.d_rx
+    if link.kind == "monostatic":
+        cross = dxn * vy - dyn * vx
+        num = (8.0 * math.pi**2 * lc.snr * nr * k * m * ts**2
+               * (m**2 - 1) * (nr**2 - 1) * cos2)
+        den = p.constellation.penalty * (
+            48.0 * ts**2 * (m**2 - 1) * cross**2
+            + 3.0 * (nr**2 - 1) * r_rx**2 * lam**2 * cos2
+        )
+        w = np.array([dxn, dyn])
+        return np.multiply.outer(np.outer(w, w), num / den)
+    dxt, dyt = lc.d_tx
+    a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * lc.snr
               * k * (k**2 - 1) * m * (m**2 - 1) * nr * (nr**2 - 1)
               / p.constellation.penalty)
     dot_tn = dxn * dxt + dyn * dyt
@@ -196,40 +254,24 @@ def _k_bis(p: SystemParams, snr: float, doa: float, dxt: float, dyt: float,
     num = a_coef * r_tx**4 * cos2 * (r_tx * rn2 + r_rx * dot_tn) ** 2
     den = (12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1) * u1**2
            + 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2 * u2)
-    return num / den
+    w = np.array([r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt])
+    return np.multiply.outer(np.outer(w, w), num / den)
 
 
 def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
     """Rank-one velocity information of a single link, global frame."""
-    g = link_geometry(link, t)
-    snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
-    vx, vy = t.velocity
-    if link.kind == "monostatic":
-        dx = t.position[0] - link.rx.position[0]
-        dy = t.position[1] - link.rx.position[1]
-        kn = _k_mono(p, snr, g.doa_local, dx, dy, g.range_rx, vx, vy)
-        w = np.array([dx, dy])
-    else:
-        obs = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
-        guard = obs.bistatic_range - obs.baseline * math.cos(obs.look_angle)
-        if guard <= geom.BASELINE_DEGENERACY_RTOL * obs.bistatic_range:
-            raise SingularGeometryError("target on the tx-rx baseline")
-        dxt = t.position[0] - link.tx.position[0]
-        dyt = t.position[1] - link.tx.position[1]
-        dxn = t.position[0] - link.rx.position[0]
-        dyn = t.position[1] - link.rx.position[1]
-        kn = _k_bis(p, snr, g.doa_local, dxt, dyt, dxn, dyn,
-                    g.range_tx, g.range_rx, vx, vy)
-        w = np.array([g.range_tx * dxn + g.range_rx * dxt,
-                      g.range_tx * dyn + g.range_rx * dyt])
-    return kn * np.outer(w, w)
+    lc = link_constants(link, t, p)
+    if lc.on_baseline:
+        raise SingularGeometryError("target on the tx-rx baseline")
+    return _velocity_info(p, link, lc, *t.velocity)
 
 
-def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
+def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
+                     lc: LinkConstants | None = None) -> np.ndarray:
     """4x4 information over (x, y, vx, vy) of one link, global frame."""
-    g = link_geometry(link, t)
-    snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
-    e3 = np.diag(_efim_diag(p, snr, g.doa_local))
+    if lc is None:
+        lc = link_constants(link, t, p)
+    e3 = np.diag(_efim_diag(p, lc.snr, lc.geometry.doa_local))
     if link.kind == "monostatic":
         j = geom.jac_mono_state(link.rx, t, p.wavelength)
     else:
@@ -254,43 +296,33 @@ class BoundReport:
     flags: tuple[str, ...] = ()
 
 
-def _position_pieces(s: Scenario, t: TargetState):
-    """Per-link global-frame position information with flags."""
-    contributions = []
-    flags = []
-    for link in sensing_links(s):
+def _network_sums(s: Scenario, t: TargetState):
+    """(per_node, flags, position sum, velocity sum) over the used links;
+    per_node has an entry for every link, and velocity only when moving."""
+    table, flags = _link_table(s, t)
+    moving = t.speed > 0.0
+    pos_total = np.zeros((2, 2))
+    vel_total = np.zeros((2, 2)) if moving else None
+    per_node = []
+    for link, lc, used in table:
         entry = {"node_id": link.node_id, "kind": link.kind,
-                 "snr_db": None, "position_info": None}
-        try:
-            g = link_geometry(link, t)
-            snr = link_snr(s.params, g, t.rcs, link.power_scale)["snr"]
-            entry["snr_db"] = 10.0 * math.log10(snr)
-            if link.kind == "monostatic":
-                p_local = geom.global_to_local(t.position, link.rx)
-                local = _mono_local_position_info(s.params, snr, p_local, g.doa_local)
-            else:
-                obs = geom.bis_observables(link.tx, link.rx, t, s.params.wavelength)
-                local = _bis_local_position_info(s.params, snr, obs)
-            j_rot = geom.jac_rotation(link.rx.orientation)
-            entry["position_info"] = j_rot.T @ local @ j_rot
-        except OutOfFieldError:
-            flags.append(f"{link.node_id}: out-of-field")
-        except SingularGeometryError as exc:
-            flags.append(f"{link.node_id}: {exc}")
-        contributions.append(entry)
-    return contributions, flags
+                 "snr_db": None if lc is None else 10.0 * math.log10(lc.snr),
+                 "position_info": None}
+        if moving:
+            entry["velocity_info"] = None
+        if used:
+            entry["position_info"] = _position_info(s.params, link, lc, t)
+            pos_total += entry["position_info"]
+            if moving:
+                entry["velocity_info"] = _velocity_info(s.params, link, lc, *t.velocity)
+                vel_total += entry["velocity_info"]
+        per_node.append(entry)
+    return per_node, flags, pos_total, vel_total
 
 
 def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
     """Sum of per-link position information in the global frame."""
-    contributions, _ = _position_pieces(s, t)
-    infos = [c["position_info"] for c in contributions if c["position_info"] is not None]
-    if not infos:
-        raise NoInformationError("no link contributes position information")
-    total = np.zeros((2, 2))
-    for m in infos:
-        total += m
-    return FisherMatrix(labels=("x", "y"), values=total)
+    return FisherMatrix(labels=("x", "y"), values=_network_sums(s, t)[2])
 
 
 def _trace_inverse_2x2(m: np.ndarray) -> float:
@@ -308,29 +340,28 @@ def network_peb(s: Scenario, t: TargetState) -> float:
     return math.sqrt(_trace_inverse_2x2(efim.values))
 
 
-def _velocity_pieces(s: Scenario, t: TargetState):
-    contributions = []
-    flags = []
-    for link in sensing_links(s):
-        try:
-            contributions.append((link.node_id, node_velocity_efim(link, t, s.params)))
-        except OutOfFieldError:
-            flags.append(f"{link.node_id}: out-of-field")
-        except SingularGeometryError as exc:
-            flags.append(f"{link.node_id}: {exc}")
-    return contributions, flags
-
-
-def _polar_crlbs(vxx: float, vxy: float, vyy: float, speed: float, heading: float):
-    """(speed CRLB, heading CRLB) from summed velocity information."""
+def _polar_crlbs(total: np.ndarray, speed: float, heading):
+    """(speed CRLB, heading CRLB, singular) from summed velocity
+    information, per heading when total is a (2, 2, n) stack."""
+    vxx, vxy, vyy = total[0, 0], total[0, 1], total[1, 1]
     det = vxx * vyy - vxy * vxy
-    if det <= DET_RTOL * abs(vxx * vyy) or not math.isfinite(det):
-        return math.inf, math.inf
-    c, sn = math.cos(heading), math.sin(heading)
-    s2 = math.sin(2.0 * heading)
-    crlb_speed = (vyy * c * c + vxx * sn * sn - vxy * s2) / det
-    crlb_heading = (vxx * c * c + vyy * sn * sn + vxy * s2) / (det * speed**2)
-    return crlb_speed, crlb_heading
+    singular = (det <= DET_RTOL * np.abs(vxx * vyy)) | ~np.isfinite(det)
+    safe_det = np.where(singular, 1.0, det)
+    c, sn = np.cos(heading), np.sin(heading)
+    s2 = np.sin(2.0 * heading)
+    crlb_speed = np.where(singular, np.inf, (vyy * c * c + vxx * sn * sn - vxy * s2) / safe_det)
+    crlb_heading = np.where(
+        singular, np.inf, (vxx * c * c + vyy * sn * sn + vxy * s2) / (safe_det * speed**2))
+    return crlb_speed, crlb_heading, singular
+
+
+def _velocity_bounds(total: np.ndarray, t: TargetState, flags: list) -> tuple[float, float]:
+    """(veb, heading CRLB) of a moving target from its summed velocity
+    information; appends the singular flag to flags."""
+    crlb_speed, crlb_heading, singular = _polar_crlbs(total, t.speed, t.heading)
+    if singular:
+        flags.append("velocity-info-singular")
+    return math.sqrt(crlb_speed), float(crlb_heading)
 
 
 def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
@@ -341,22 +372,10 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    contributions, flags = _velocity_pieces(s, t)
-    if not contributions:
-        raise NoInformationError("no link contributes velocity information")
-    total = np.zeros((2, 2))
-    for _, m in contributions:
-        total += m
-    crlb_speed, crlb_heading = _polar_crlbs(
-        total[0, 0], total[0, 1], total[1, 1], t.speed, t.heading)
-    if math.isinf(crlb_speed):
-        flags = flags + ["velocity-info-singular"]
-    return {
-        "veb": math.sqrt(crlb_speed),
-        "crlb_heading": crlb_heading,
-        "velocity_efim": total,
-        "flags": tuple(flags),
-    }
+    _, flags, _, total = _network_sums(s, t)
+    veb, crlb_heading = _velocity_bounds(total, t, flags)
+    return {"veb": veb, "crlb_heading": crlb_heading,
+            "velocity_efim": total, "flags": tuple(flags)}
 
 
 def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
@@ -365,23 +384,16 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     Sums the per-link (x, y, vx, vy) information, removes position by Schur
     complement, and reads the speed bound in polar coordinates. Tighter
     than network_velocity_bounds, which discards cross-information between
-    links by reducing each link to its own rank-one velocity piece.
+    links by reducing each link to its own rank-one velocity piece. Links
+    on a tx-rx baseline stay: this form has no division by the ellipse guard.
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
+    table, flags = _link_table(s, t, keep_baseline=True)
     total = np.zeros((4, 4))
-    flags = []
-    n_ok = 0
-    for link in sensing_links(s):
-        try:
-            total += _link_state_info(link, t, s.params)
-            n_ok += 1
-        except OutOfFieldError:
-            flags.append(f"{link.node_id}: out-of-field")
-        except SingularGeometryError as exc:
-            flags.append(f"{link.node_id}: {exc}")
-    if n_ok == 0:
-        raise NoInformationError("no link contributes state information")
+    for link, lc, used in table:
+        if used:
+            total += _link_state_info(link, t, s.params, lc)
     i_p = total[:2, :2]
     i_pv = total[:2, 2:]
     i_v = total[2:, 2:]
@@ -400,42 +412,20 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
 def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     """Full report for one target: position bound always, velocity bounds
     when the target moves."""
-    contributions, flags = _position_pieces(s, t)
-    infos = [c["position_info"] for c in contributions if c["position_info"] is not None]
-    if not infos:
-        raise NoInformationError("no link contributes position information")
-    pos_total = np.zeros((2, 2))
-    for m in infos:
-        pos_total += m
+    per_node, flags, pos_total, vel_total = _network_sums(s, t)
     peb = math.sqrt(_trace_inverse_2x2(pos_total))
     if math.isinf(peb):
-        flags = flags + ["position-info-singular"]
-
-    veb = crlb_heading = vel_total = None
-    if t.speed > 0.0:
-        vel_pieces, vel_flags = _velocity_pieces(s, t)
-        if not vel_pieces:
-            raise NoInformationError("no link contributes velocity information")
-        vel_by_id = dict(vel_pieces)
-        for c in contributions:
-            c["velocity_info"] = vel_by_id.get(c["node_id"])
-        vel_total = np.zeros((2, 2))
-        for _, m in vel_pieces:
-            vel_total += m
-        crlb_speed, crlb_heading = _polar_crlbs(
-            vel_total[0, 0], vel_total[0, 1], vel_total[1, 1], t.speed, t.heading)
-        veb = math.sqrt(crlb_speed)
-        if math.isinf(crlb_speed):
-            vel_flags = vel_flags + ["velocity-info-singular"]
-        flags = flags + [f for f in vel_flags if f not in flags]
-
+        flags.append("position-info-singular")
+    veb = crlb_heading = None
+    if vel_total is not None:
+        veb, crlb_heading = _velocity_bounds(vel_total, t, flags)
     return BoundReport(
         peb=peb,
         veb=veb,
         crlb_heading=crlb_heading,
         position_efim=pos_total,
         velocity_efim=vel_total,
-        per_node=contributions,
+        per_node=per_node,
         flags=tuple(flags),
     )
 
@@ -444,61 +434,22 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
                              headings: np.ndarray, rcs: float = 1.0) -> dict:
     """Velocity bound and heading CRLB over an array of headings.
 
-    Vectorized over headings for Monte-Carlo averaging: per-link geometry is
-    computed once, only the velocity-dependent coefficient varies. Singular
-    headings are reported in the mask; callers decide how to aggregate.
+    Vectorized over headings for Monte-Carlo averaging: the link constants
+    are computed once, only the velocity-dependent coefficient varies.
+    Singular headings are reported in the mask; callers decide how to
+    aggregate.
     """
     if speed <= 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
     headings = np.asarray(headings, dtype=float)
     vx = speed * np.cos(headings)
     vy = speed * np.sin(headings)
-    probe = TargetState(position=tuple(position), rcs=rcs)
-    vxx = np.zeros_like(headings)
-    vxy = np.zeros_like(headings)
-    vyy = np.zeros_like(headings)
-    flags = []
-    n_ok = 0
-    for link in sensing_links(s):
-        try:
-            g = link_geometry(link, probe)
-            snr = link_snr(s.params, g, probe.rcs, link.power_scale)["snr"]
-            if link.kind == "monostatic":
-                dx = position[0] - link.rx.position[0]
-                dy = position[1] - link.rx.position[1]
-                kn = _k_mono(s.params, snr, g.doa_local, dx, dy, g.range_rx, vx, vy)
-                w1, w2 = dx, dy
-            else:
-                obs = geom.bis_observables(link.tx, link.rx, probe, s.params.wavelength)
-                guard = obs.bistatic_range - obs.baseline * math.cos(obs.look_angle)
-                if guard <= geom.BASELINE_DEGENERACY_RTOL * obs.bistatic_range:
-                    raise SingularGeometryError("target on the tx-rx baseline")
-                dxt = position[0] - link.tx.position[0]
-                dyt = position[1] - link.tx.position[1]
-                dxn = position[0] - link.rx.position[0]
-                dyn = position[1] - link.rx.position[1]
-                kn = _k_bis(s.params, snr, g.doa_local, dxt, dyt, dxn, dyn,
-                            g.range_tx, g.range_rx, vx, vy)
-                w1 = g.range_tx * dxn + g.range_rx * dxt
-                w2 = g.range_tx * dyn + g.range_rx * dyt
-            vxx += kn * w1 * w1
-            vxy += kn * w1 * w2
-            vyy += kn * w2 * w2
-            n_ok += 1
-        except OutOfFieldError:
-            flags.append(f"{link.node_id}: out-of-field")
-        except SingularGeometryError as exc:
-            flags.append(f"{link.node_id}: {exc}")
-    if n_ok == 0:
-        raise NoInformationError("no link contributes velocity information")
-    det = vxx * vyy - vxy * vxy
-    singular = (det <= DET_RTOL * np.abs(vxx * vyy)) | ~np.isfinite(det)
-    safe_det = np.where(singular, 1.0, det)
-    c, sn = np.cos(headings), np.sin(headings)
-    s2 = np.sin(2.0 * headings)
-    crlb_speed = np.where(singular, np.inf, (vyy * c * c + vxx * sn * sn - vxy * s2) / safe_det)
-    crlb_heading = np.where(
-        singular, np.inf, (vxx * c * c + vyy * sn * sn + vxy * s2) / (safe_det * speed**2))
+    table, flags = _link_table(s, TargetState(position=tuple(position), rcs=rcs))
+    total = np.zeros((2, 2) + headings.shape)
+    for link, lc, used in table:
+        if used:
+            total += _velocity_info(s.params, link, lc, vx, vy)
+    crlb_speed, crlb_heading, singular = _polar_crlbs(total, speed, headings)
     return {
         "veb": np.sqrt(crlb_speed),
         "crlb_heading": crlb_heading,

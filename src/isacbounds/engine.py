@@ -381,6 +381,25 @@ class SelectionResult:
     ranking: tuple[tuple[tuple[str, ...], float], ...]
 
 
+def _rank_subsets(s: Scenario, subsets, target, metric: str, mc: McConfig,
+                  none_bounded: str) -> SelectionResult:
+    """Rank (key, nodes) subsets by the metric at the target, ties on the key.
+    A subset whose scenario fails validation (an rx without its tx) or has
+    no bounded metric scores +inf."""
+    scored = []
+    for key, nodes in subsets:
+        try:
+            sub = normalize_power(replace(s, nodes=nodes))
+            value, _ = evaluate_metric(sub, target, metric, mc)
+        except BoundsError:
+            value = math.inf
+        scored.append((key, value))
+    scored.sort(key=lambda sv: (sv[1], sv[0]))
+    if not scored or math.isinf(scored[0][1]) or math.isnan(scored[0][1]):
+        raise NoFeasibleSubsetError(none_bounded)
+    return SelectionResult(best=scored[0][0], value=scored[0][1], ranking=tuple(scored))
+
+
 def select_nodes(problem: SelectionProblem) -> SelectionResult:
     """Exhaustively evaluate all candidate subsets of the requested size.
 
@@ -392,21 +411,10 @@ def select_nodes(problem: SelectionProblem) -> SelectionResult:
     for cid in problem.candidates:
         if cid not in by_id:
             raise ScenarioFormatError(f"unknown candidate node id {cid!r}")
-    ids = sorted(problem.candidates)
-    scored = []
-    for subset in itertools.combinations(ids, problem.choose):
-        nodes = tuple(by_id[i] for i in subset)
-        try:
-            sub = normalize_power(replace(s, nodes=nodes))
-            value, _ = evaluate_metric(sub, problem.target, problem.metric, problem.mc)
-        except BoundsError:
-            value = math.inf
-        scored.append((subset, value))
-    scored.sort(key=lambda sv: (sv[1], sv[0]))
-    if not scored or math.isinf(scored[0][1]) or math.isnan(scored[0][1]):
-        raise NoFeasibleSubsetError(
-            f"every {problem.choose}-subset yields an unbounded {problem.metric}")
-    return SelectionResult(best=scored[0][0], value=scored[0][1], ranking=tuple(scored))
+    subsets = ((ids, tuple(by_id[i] for i in ids))
+               for ids in itertools.combinations(sorted(problem.candidates), problem.choose))
+    return _rank_subsets(s, subsets, problem.target, problem.metric, problem.mc,
+                         f"every {problem.choose}-subset yields an unbounded {problem.metric}")
 
 
 def select_tx(s: Scenario, target, metric: str = "peb",
@@ -415,21 +423,8 @@ def select_tx(s: Scenario, target, metric: str = "peb",
     nodes receive; minimizes the metric at the target."""
     if len(s.nodes) < 2:
         raise ScenarioFormatError("transmitter selection needs at least 2 nodes")
-    mc = mc or McConfig()
-    scored = []
-    for cand in sorted(s.nodes, key=lambda n: n.id):
-        nodes = tuple(
-            replace(n, role="tx", tx_id=None) if n.id == cand.id
-            else replace(n, role="rx", tx_id=cand.id)
-            for n in s.nodes
-        )
-        try:
-            sub = normalize_power(replace(s, nodes=nodes))
-            value, _ = evaluate_metric(sub, target, metric, mc)
-        except BoundsError:
-            value = math.inf
-        scored.append(((cand.id,), value))
-    scored.sort(key=lambda sv: (sv[1], sv[0]))
-    if math.isinf(scored[0][1]) or math.isnan(scored[0][1]):
-        raise NoFeasibleSubsetError(f"no transmitter choice yields a bounded {metric}")
-    return SelectionResult(best=scored[0][0], value=scored[0][1], ranking=tuple(scored))
+    subsets = (((tx_id,), tuple(replace(n, role="tx", tx_id=None) if n.id == tx_id
+                                else replace(n, role="rx", tx_id=tx_id) for n in s.nodes))
+               for tx_id in sorted(n.id for n in s.nodes))
+    return _rank_subsets(s, subsets, target, metric, mc or McConfig(),
+                         f"no transmitter choice yields a bounded {metric}")

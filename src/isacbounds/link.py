@@ -21,7 +21,7 @@ from .errors import (
     OutOfFieldError,
     SingularGeometryError,
 )
-from .model import SPEED_OF_LIGHT, SystemParams, derive_frame
+from .model import SPEED_OF_LIGHT, SystemParams
 
 C = SPEED_OF_LIGHT
 
@@ -120,7 +120,7 @@ def link_snr(p: SystemParams, g: LinkGeometry, rcs: float, power_scale: float = 
     pointing offset replaces the full beamforming gain with |a^H(dod) a(dod
     + offset)|^2 / N_T.
     """
-    fr = derive_frame(p)
+    fr = p.frame
     alpha_sq = (p.tx_gain * p.rx_gain * C**2 * rcs
                 / ((4.0 * math.pi) ** 3 * p.carrier_freq**2 * g.range_tx**2 * g.range_rx**2))
     p_avg = power_scale * fr.p_avg
@@ -142,7 +142,7 @@ def fim_single_link(p: SystemParams, g: LinkGeometry, rcs: float,
     The common prefactor is K*M*N_R*SNR/eta. Amplitude and DoA decouple from
     everything else; phase, Doppler and delay are mutually coupled.
     """
-    fr = derive_frame(p)
+    fr = p.frame
     if p.n_rx_ant < 2:
         raise InsufficientResourcesError("need at least 2 receive antennas")
     k, m = fr.k_subcarriers, fr.m_symbols
@@ -171,7 +171,7 @@ def scalar_crlbs(p: SystemParams, g: LinkGeometry, rcs: float,
     Also returns the range bound (c/2)^2 * crlb_tau of a two-way link and
     the sum-range bound of a separated pair, which is four times larger.
     """
-    fr = derive_frame(p)
+    fr = p.frame
     if p.n_rx_ant < 2:
         raise InsufficientResourcesError("need at least 2 receive antennas")
     k, m = fr.k_subcarriers, fr.m_symbols
@@ -238,20 +238,3 @@ def efim_doppler_delay_angle(p: SystemParams, g: LinkGeometry, rcs: float,
     """3x3 effective Fisher matrix over (doppler, delay, aoa); diagonal."""
     return schur_complement(fim_single_link(p, g, rcs, power_scale),
                             ("doppler", "delay", "aoa"))
-
-
-def efim_delay_angle_diagonal(p: SystemParams, g: LinkGeometry, rcs: float,
-                              power_scale: float = 1.0) -> np.ndarray:
-    """Diagonal of the (delay, aoa) effective Fisher matrix, closed form.
-
-    Fast path used by the network aggregation; equals efim_delay_angle.
-    """
-    fr = derive_frame(p)
-    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    s = link_snr(p, g, rcs, power_scale)
-    pref = nr * k * m * s["snr"] / p.constellation.penalty
-    pi = math.pi
-    return pref * np.array([
-        2.0 * pi**2 * p.subcarrier_spacing**2 * (k**2 - 1) / 3.0,
-        pi**2 * (nr**2 - 1) * math.cos(g.doa_local) ** 2 / 6.0,
-    ])

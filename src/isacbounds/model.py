@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class ConstellationSpec:
                 f"constellation mean power {power.mean():.15g} != 1 (normalize first)"
             )
 
-    @property
+    @cached_property
     def penalty(self) -> float:
         """SNR penalty factor (>= 1)."""
         return constellation_penalty(self)
@@ -129,6 +130,11 @@ class SystemParams:
     def noise_var(self) -> float:
         """Noise power per subcarrier, noise_psd * subcarrier_spacing (W)."""
         return self.noise_psd * self.subcarrier_spacing
+
+    @cached_property
+    def frame(self) -> "FrameDerived":
+        """derive_frame(self), computed once per instance."""
+        return derive_frame(self)
 
 
 @dataclass(frozen=True)

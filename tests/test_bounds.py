@@ -22,6 +22,8 @@ from isacbounds.errors import (
 # trace) evaluated independently of the closed form under test
 PEB_MONO_REFERENCE = 0.16531047718533615   # node (42,0) facing +y, target (70,56)
 EFIM_CENTER_REFERENCE = 2137.445398972106   # 4-node shared-budget layout at (42,42)
+# moving target on the tx1-rx2 baseline of multistatic3
+BASELINE_TARGET = TargetState(position=(42.0, 30.0), velocity=(10.0, 5.0))
 
 
 def mono_node(pos, orient, node_id="n"):
@@ -389,6 +391,13 @@ class TestNetworkVelocityBoundsExact:
             assert e_big <= e_small * (1.0 + 1e-12)
             checked += 1
 
+    def test_keeps_link_on_baseline(self, multistatic3):
+        # the 4x4 form has no 1/guard, so rx2 (target on its baseline) stays
+        s = engine.normalize_power(multistatic3)
+        res = bounds.network_velocity_bounds_exact(s, BASELINE_TARGET)
+        assert res["veb_exact"] == pytest.approx(0.052209077801652834, rel=1e-12)
+        assert res["flags"] == ()
+
     def test_large_array_tightens_gap(self, mono4):
         s = engine.normalize_power(
             replace(mono4, params=replace(mono4.params, n_rx_ant=100)))
@@ -468,6 +477,19 @@ class TestBoundReport:
         for entry in report.per_node:
             assert entry["snr_db"] is not None
             assert entry["position_info"].shape == (2, 2)
+
+    def test_baseline_link_flagged_once(self, multistatic3):
+        report = bounds.evaluate_bounds(engine.normalize_power(multistatic3), BASELINE_TARGET)
+        assert len(report.flags) == 1
+        assert report.flags[0].startswith("rx2:") and "baseline" in report.flags[0]
+
+    def test_per_node_keeps_dropped_links(self, multistatic3):
+        report = bounds.evaluate_bounds(engine.normalize_power(multistatic3), BASELINE_TARGET)
+        by_id = {entry["node_id"]: entry for entry in report.per_node}
+        assert sorted(by_id) == ["rx1", "rx2", "rx3"]
+        assert by_id["rx2"]["position_info"] is None
+        assert by_id["rx2"]["velocity_info"] is None
+        assert by_id["rx1"]["position_info"] is not None
 
     def test_static_target_skips_velocity(self, mono4):
         report = bounds.evaluate_bounds(engine.normalize_power(mono4),

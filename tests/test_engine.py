@@ -245,6 +245,16 @@ class TestSelectNodes:
         for pair in (("n0", "n2"), ("n1", "n3")):  # collinear through target
             assert ranking[pair] > res.value
 
+    def test_subsets_without_tx_score_inf(self, multistatic3):
+        # an rx-only subset fails Scenario validation; it must rank, not raise
+        problem = SelectionProblem(scenario=multistatic3, choose=2, metric="peb",
+                                   target=(30.0, 40.0), mc=McConfig(draws=4))
+        res = engine.select_nodes(problem)
+        assert res.best == ("rx1", "tx1")
+        ranking = dict(res.ranking)
+        for pair in (("rx1", "rx2"), ("rx1", "rx3"), ("rx2", "rx3")):
+            assert ranking[pair] == math.inf
+
     def test_invariant_to_candidate_order(self, ring8):
         mc = McConfig(draws=8, seed=2)
         ids = tuple(n.id for n in ring8.nodes)

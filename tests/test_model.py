@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ class TestDeriveFrame:
 
     def test_pure(self, params):
         assert derive_frame(params) == derive_frame(params)
+
+    def test_cached_frame_follows_its_params(self, params):
+        assert params.frame is params.frame
+        assert params.frame == derive_frame(params)
+        half = replace(params, frac_subcarriers=0.5)
+        assert half.frame == derive_frame(half)
+        assert half.frame.k_subcarriers != params.frame.k_subcarriers
+        assert half == replace(params, frac_subcarriers=0.5)  # the cache is not a field
 
 
 class TestParamsValidation:
