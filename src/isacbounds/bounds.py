@@ -53,9 +53,15 @@ class SensingLink:
 
 def sensing_links(s: Scenario) -> tuple[SensingLink, ...]:
     """All sensing links of a scenario (monostatic nodes and tx/rx pairs)."""
-    by_id = {n.id: n for n in s.nodes}
+    return links_of(s.nodes)
+
+
+def links_of(nodes) -> tuple[SensingLink, ...]:
+    """Sensing links of a node tuple, in node order; an rx's tx is looked up
+    among the same nodes."""
+    by_id = {n.id: n for n in nodes}
     links = []
-    for n in s.nodes:
+    for n in nodes:
         if n.role == "monostatic":
             links.append(SensingLink(n.id, n, n, "monostatic", n.power_scale))
         elif n.role == "rx":
@@ -145,17 +151,17 @@ def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkCo
                          obs, guard <= geom.BASELINE_DEGENERACY_RTOL * obs.bistatic_range)
 
 
-def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
-    """([(link, constants or None, used)], flags) over all sensing links,
-    one flag per unused link. A link is unused when its constants raised or,
+def _link_rows(p: SystemParams, links, t: TargetState, keep_baseline: bool = False):
+    """([(link, constants or None, used)], flags) over the given links, one
+    flag per unused link. A link is unused when its constants raised or,
     unless keep_baseline, the target is on its tx-rx baseline, where the 2x2
     closed forms divide by the vanishing ellipse guard."""
     table = []
     flags = []
-    for link in sensing_links(s):
+    for link in links:
         lc = None
         try:
-            lc = link_constants(link, t, s.params)
+            lc = link_constants(link, t, p)
         except OutOfFieldError:
             flags.append(f"{link.node_id}: out-of-field")
         except SingularGeometryError as exc:
@@ -164,6 +170,13 @@ def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
         if lc is not None and not used:
             flags.append(f"{link.node_id}: target on the tx-rx baseline")
         table.append((link, lc, used))
+    return table, flags
+
+
+def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
+    """_link_rows over all sensing links of a scenario; raises
+    NoInformationError when no link is used."""
+    table, flags = _link_rows(s.params, sensing_links(s), t, keep_baseline)
     if not any(used for _, _, used in table):
         raise NoInformationError("no link contributes information")
     return table, flags
@@ -279,6 +292,30 @@ def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
     return j.T @ e3 @ j
 
 
+def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -> np.ndarray:
+    """Information of each of L links at the target, one row per link, for
+    summing over many subsets of the links: position (xx, xy, yx, yy) as an
+    (L + 1, 4) array or, given the velocity components vx, vy of n headings,
+    velocity (xx, xy, yy) as an (L + 1, 3, n) array (the rank-one piece is
+    symmetric). An unused link (see _link_rows) and the extra last row are
+    zero, so a subset that adds its links' rows, in link order and from
+    zero, gets exactly the sums of the network bounds."""
+    table, _ = _link_rows(p, links, t)
+    if vx is None:
+        info = np.zeros((len(links) + 1, 4))
+    else:
+        info = np.zeros((len(links) + 1, 3, np.size(vx)))
+    for row, (link, lc, used) in zip(info, table):
+        if not used:
+            continue
+        if vx is None:
+            row[:] = _position_info(p, link, lc, t).ravel()
+        else:
+            v = _velocity_info(p, link, lc, vx, vy)
+            row[:] = v[0, 0], v[0, 1], v[1, 1]
+    return info
+
+
 # ---------------------------------------------------------------------------
 # network aggregation
 
@@ -325,12 +362,16 @@ def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
     return FisherMatrix(labels=("x", "y"), values=_network_sums(s, t)[2])
 
 
-def _trace_inverse_2x2(m: np.ndarray) -> float:
-    """Trace of the inverse, +inf when numerically singular."""
+def _trace_inverse_2x2(m: np.ndarray):
+    """Trace of the inverse, +inf when numerically singular; per matrix
+    when m is a (2, 2, n) stack."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= DET_RTOL * abs(m[0, 0] * m[1, 1]) or not math.isfinite(det):
-        return math.inf
-    return (m[0, 0] + m[1, 1]) / det
+    # not (det <= rtol * |m00 m11| or det not finite), NaN included
+    bounded = (det > DET_RTOL * abs(m[0, 0] * m[1, 1])) & (det < math.inf)
+    trace = m[0, 0] + m[1, 1]
+    if m.ndim == 2:  # one matrix: a branch costs less than the array select
+        return trace / det if bounded else math.inf
+    return np.where(bounded, trace, math.inf) / np.where(bounded, det, 1.0)
 
 
 def network_peb(s: Scenario, t: TargetState) -> float:
@@ -340,15 +381,20 @@ def network_peb(s: Scenario, t: TargetState) -> float:
     return math.sqrt(_trace_inverse_2x2(efim.values))
 
 
-def _polar_crlbs(total: np.ndarray, speed: float, heading):
-    """(speed CRLB, heading CRLB, singular) from summed velocity
-    information, per heading when total is a (2, 2, n) stack."""
-    vxx, vxy, vyy = total[0, 0], total[0, 1], total[1, 1]
+def _heading_trig(heading):
+    """(cos, sin, sin 2x) of the heading(s), as _polar_crlbs reads them."""
+    return np.cos(heading), np.sin(heading), np.sin(2.0 * heading)
+
+
+def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
+    """(speed CRLB, heading CRLB, singular) from the xx, xy, yy entries of
+    summed velocity information and _heading_trig of the heading;
+    elementwise when they are arrays over headings (or over subsets by
+    headings, the trig terms broadcasting)."""
     det = vxx * vyy - vxy * vxy
     singular = (det <= DET_RTOL * np.abs(vxx * vyy)) | ~np.isfinite(det)
     safe_det = np.where(singular, 1.0, det)
-    c, sn = np.cos(heading), np.sin(heading)
-    s2 = np.sin(2.0 * heading)
+    c, sn, s2 = trig
     crlb_speed = np.where(singular, np.inf, (vyy * c * c + vxx * sn * sn - vxy * s2) / safe_det)
     crlb_heading = np.where(
         singular, np.inf, (vxx * c * c + vyy * sn * sn + vxy * s2) / (safe_det * speed**2))
@@ -358,7 +404,8 @@ def _polar_crlbs(total: np.ndarray, speed: float, heading):
 def _velocity_bounds(total: np.ndarray, t: TargetState, flags: list) -> tuple[float, float]:
     """(veb, heading CRLB) of a moving target from its summed velocity
     information; appends the singular flag to flags."""
-    crlb_speed, crlb_heading, singular = _polar_crlbs(total, t.speed, t.heading)
+    crlb_speed, crlb_heading, singular = _polar_crlbs(
+        total[0, 0], total[0, 1], total[1, 1], t.speed, _heading_trig(t.heading))
     if singular:
         flags.append("velocity-info-singular")
     return math.sqrt(crlb_speed), float(crlb_heading)
@@ -449,7 +496,8 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     for link, lc, used in table:
         if used:
             total += _velocity_info(s.params, link, lc, vx, vy)
-    crlb_speed, crlb_heading, singular = _polar_crlbs(total, speed, headings)
+    crlb_speed, crlb_heading, singular = _polar_crlbs(
+        total[0, 0], total[0, 1], total[1, 1], speed, _heading_trig(headings))
     return {
         "veb": np.sqrt(crlb_speed),
         "crlb_heading": crlb_heading,

@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 usage or malformed input, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import sys
@@ -40,8 +42,9 @@ def _json_value(value):
 
 
 def emit_table(rows: list[dict], columns: list[str], fmt: str, path: str | None) -> None:
-    """Write rows as CSV (header + 9-significant-digit floats, inf literal)
-    or JSON (records; non-finite values become null and raise the flag)."""
+    """Write rows as CSV (header + 9-significant-digit floats, inf literal;
+    fields holding a comma or quote are quoted) or JSON (records; non-finite
+    values become null and raise the flag)."""
     if fmt == "json":
         records = []
         for row in rows:
@@ -52,17 +55,15 @@ def emit_table(rows: list[dict], columns: list[str], fmt: str, path: str | None)
             if nonfinite and not rec.get("flag"):
                 rec["flag"] = "infinite"
             records.append(rec)
-        text = json.dumps(records, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(col, "")) for col in columns))
-        text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    out = (contextlib.nullcontext(sys.stdout) if path is None
+           else open(path, "w", encoding="utf-8", newline=""))
+    with out as fh:
+        if fmt == "json":
+            fh.write(json.dumps(records, indent=2) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row.get(col, "")) for col in columns] for row in rows)
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -70,9 +71,12 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ScenarioFormatError(f"{what} must be 'X,Y', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ScenarioFormatError(f"{what} must be numeric, got {text!r}") from exc
+    if not all(map(math.isfinite, pair)):
+        raise ScenarioFormatError(f"{what} must be finite, got {text!r}")
+    return pair
 
 
 def _parse_grid(text: str) -> engine.GridSpec:

@@ -4,6 +4,21 @@ and exhaustive node/transmitter selection.
 Monte-Carlo heading draws use one counter-based substream per grid cell
 (seeded by the cell index), so results are bit-identical for a given seed
 regardless of how cells are scheduled across workers.
+
+Selection scores every subset from per-link information computed once.
+Information from independent links adds, so a subset's summed information
+is the sum of its links' pieces, and those pieces are the same in every
+subset that holds the link at the same power share (1/n of the budget for a
+subset of n transmitters under normalized_total; for select_tx a link is an
+ordered tx -> rx pair). The scorer computes each distinct link's
+information once (bounds.link_information), holds the subsets as one
+(n_subsets, width) array of link indices, and evaluates them in chunks:
+each chunk adds its links' rows in the subset's link order, from zero, and
+inverts the sums as a stack (the trace inverse for the PEB; the polar
+CRLBs and the mean over the heading draws for the velocity metrics). The
+additions are the ones evaluate_metric makes, in the same order, so every
+value equals the per-subset route exactly, +inf included. Memory is bounded
+by the link table (links x draws) plus chunk buffers of _CHUNK_BYTES.
 """
 from __future__ import annotations
 
@@ -36,6 +51,12 @@ METRICS = ("peb", "veb", "crlb_heading")
 SWEEP_PARAMETERS = ("frac_subcarriers", "frac_symbols", "n_rx_ant")
 
 WORKERS_ENV = "ISAC_BOUNDS_THREADS"
+
+# Bytes of summed information per chunk of subsets in the subset scorer:
+# 1,024 subsets' position sums, or one subset's velocity sums over 1,000
+# heading draws (six over 200). Larger chunks run faster but raise peak
+# memory: at 64 KB the ring workload's peak RSS rose ~0.4 MB.
+_CHUNK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,8 @@ class SelectionProblem:
             raise ScenarioFormatError(f"unknown metric {self.metric!r}")
         ids = self.candidates or tuple(n.id for n in self.scenario.nodes)
         object.__setattr__(self, "candidates", tuple(ids))
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ScenarioFormatError("duplicate candidate node ids")
         if not 1 <= self.choose <= len(self.candidates):
             raise ScenarioFormatError(
                 f"choose must lie in [1, {len(self.candidates)}], got {self.choose}")
@@ -248,12 +271,14 @@ def normalize_power(s: Scenario) -> Scenario:
     n_tx = s.n_transmitters
     if n_tx == 0:
         raise NoInformationError("no transmitting node to normalize")
+    return replace(s, nodes=_share_power(s.nodes, n_tx))
+
+
+def _share_power(nodes, n_tx: int) -> tuple[Node, ...]:
+    """The nodes with every transmitter's power scale set to 1 / n_tx."""
     scale = 1.0 / n_tx
-    nodes = tuple(
-        replace(n, power_scale=scale) if n.role in ("monostatic", "tx") else n
-        for n in s.nodes
-    )
-    return replace(s, nodes=nodes)
+    return tuple(replace(n, power_scale=scale) if n.role in ("monostatic", "tx") else n
+                 for n in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +337,11 @@ def resolve_workers(workers: int | None = None) -> int:
     environment variable, else serial. Zero means one worker per CPU."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError as exc:
+            raise ScenarioFormatError(
+                f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers < 0:
@@ -381,40 +410,113 @@ class SelectionResult:
     ranking: tuple[tuple[tuple[str, ...], float], ...]
 
 
-def _rank_subsets(s: Scenario, subsets, target, metric: str, mc: McConfig,
-                  none_bounded: str) -> SelectionResult:
-    """Rank (key, nodes) subsets by the metric at the target, ties on the key.
-    A subset whose scenario fails validation (an rx without its tx) or has
-    no bounded metric scores +inf."""
-    scored = []
-    for key, nodes in subsets:
-        try:
-            sub = normalize_power(replace(s, nodes=nodes))
-            value, _ = evaluate_metric(sub, target, metric, mc)
-        except BoundsError:
-            value = math.inf
-        scored.append((key, value))
-    scored.sort(key=lambda sv: (sv[1], sv[0]))
-    if not scored or math.isinf(scored[0][1]) or math.isnan(scored[0][1]):
+def _score_subsets(p: SystemParams, links, rows: np.ndarray, target, metric: str,
+                   mc: McConfig) -> np.ndarray:
+    """Metric value of every link subset at the target.
+
+    rows is an (n_subsets, width) array of indices into links, -1 meaning
+    "no link". Each link's information is computed once; a subset adds its
+    links' rows in row order, so every value equals evaluate_metric on the
+    subset's own scenario, +inf included. Subsets are evaluated in chunks
+    whose summed information takes at most _CHUNK_BYTES."""
+    if metric not in METRICS:
+        raise ScenarioFormatError(f"unknown metric {metric!r}")
+    t = TargetState(position=tuple(target))
+    if metric == "peb":
+        info = bounds.link_information(p, links, t)
+    else:
+        headings = mc.headings()
+        trig = bounds._heading_trig(headings)
+        info = bounds.link_information(p, links, t, mc.speed * trig[0], mc.speed * trig[1])
+    n_subsets = len(rows)
+    values = np.empty(n_subsets)
+    chunk = min(n_subsets, max(1, _CHUNK_BYTES // info[0].nbytes))
+    total = np.empty((chunk,) + info.shape[1:])
+    part = np.empty_like(total)
+    head = np.empty(info.shape[1:])
+    for start in range(0, n_subsets, chunk):
+        idx = rows[start:start + chunk]
+        k = len(idx)
+        # the leading links that every subset of the chunk shares (most of
+        # them, in lexicographic order) are summed once
+        same = (idx == idx[0]).all(axis=0)
+        shared = len(same) if same.all() else int(same.argmin())
+        head.fill(0.0)
+        for i in idx[0, :shared]:
+            head += info[i]
+        tot, buf = total[:k], part[:k]
+        tot[...] = head
+        for col in idx[:, shared:].T:
+            np.take(info, col, axis=0, out=buf, mode="wrap")  # -1: the zero row
+            tot += buf
+        if metric == "peb":
+            values[start:start + k] = np.sqrt(bounds._trace_inverse_2x2(tot.T.reshape(2, 2, k)))
+            continue
+        crlb_speed, crlb_heading, singular = bounds._polar_crlbs(
+            tot[:, 0], tot[:, 1], tot[:, 2], mc.speed, trig)
+        draws = np.sqrt(crlb_speed) if metric == "veb" else crlb_heading
+        values[start:start + k] = np.where(singular.any(axis=1), math.inf, draws.mean(axis=1))
+    return values
+
+
+def _ranked(keys, values: np.ndarray, none_bounded: str) -> SelectionResult:
+    """Rank keys by value, ties on the key order (keys come sorted)."""
+    order = np.argsort(values, kind="stable").tolist()
+    scores = values.tolist()
+    ranking = tuple((keys[i], scores[i]) for i in order)
+    if not ranking[0][1] < math.inf:  # inf or nan
         raise NoFeasibleSubsetError(none_bounded)
-    return SelectionResult(best=scored[0][0], value=scored[0][1], ranking=tuple(scored))
+    return SelectionResult(best=ranking[0][0], value=ranking[0][1], ranking=ranking)
 
 
 def select_nodes(problem: SelectionProblem) -> SelectionResult:
     """Exhaustively evaluate all candidate subsets of the requested size.
 
     Minimizes the metric at the target; ties break on the lexicographically
-    first id tuple, so the result does not depend on candidate order.
+    first id tuple, so the result does not depend on candidate order. A
+    subset whose scenario would fail validation (an rx without its tx)
+    scores +inf. Under normalized_total a subset of n transmitters gives
+    each 1/n of the budget, so each link is computed once per share that
+    occurs.
     """
     s = problem.scenario
     by_id = {n.id: n for n in s.nodes}
     for cid in problem.candidates:
         if cid not in by_id:
             raise ScenarioFormatError(f"unknown candidate node id {cid!r}")
-    subsets = ((ids, tuple(by_id[i] for i in ids))
-               for ids in itertools.combinations(sorted(problem.candidates), problem.choose))
-    return _rank_subsets(s, subsets, problem.target, problem.metric, problem.mc,
-                         f"every {problem.choose}-subset yields an unbounded {problem.metric}")
+    ids = sorted(problem.candidates)
+    cands = [by_id[i] for i in ids]
+    choose = problem.choose
+    n_subsets = math.comb(len(ids), choose)
+    pos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(len(ids)), choose)),
+        dtype=np.min_scalar_type(len(ids)), count=n_subsets * choose,
+    ).reshape(n_subsets, choose)
+    invalid = np.zeros(n_subsets, dtype=bool)
+    for i, n in enumerate(cands):
+        if n.role == "rx":
+            has_tx = (pos == ids.index(n.tx_id)).any(axis=1) if n.tx_id in ids else False
+            invalid |= (pos == i).any(axis=1) & ~has_tx
+    # a subset's power share is 1 / its transmitter count under
+    # normalized_total; n_tx = 0 stands for the nodes' own power otherwise
+    n_tx = np.array([n.role in ("monostatic", "tx") for n in cands])[pos].sum(axis=1)
+    if s.power_policy != "normalized_total":
+        n_tx[:] = 0
+    links = []
+    link_of = np.full((choose + 1, len(cands)), -1,
+                      dtype=np.min_scalar_type(-len(cands) * (choose + 1)))
+    for k in np.flatnonzero(np.bincount(n_tx[~invalid])).tolist():
+        nodes = _share_power(s.nodes, k) if k else s.nodes
+        by_node = {lk.node_id: lk for lk in bounds.links_of(nodes)}
+        for i, n in enumerate(cands):
+            if n.id in by_node:  # a tx node adds no link
+                link_of[k, i] = len(links)
+                links.append(by_node[n.id])
+    rows = link_of[n_tx[:, None], pos]
+    values = _score_subsets(s.params, links, rows, problem.target, problem.metric, problem.mc)
+    values[invalid] = math.inf
+    return _ranked(list(itertools.combinations(ids, choose)), values,
+                   f"every {choose}-subset yields an unbounded {problem.metric}")
 
 
 def select_tx(s: Scenario, target, metric: str = "peb",
@@ -423,8 +525,14 @@ def select_tx(s: Scenario, target, metric: str = "peb",
     nodes receive; minimizes the metric at the target."""
     if len(s.nodes) < 2:
         raise ScenarioFormatError("transmitter selection needs at least 2 nodes")
-    subsets = (((tx_id,), tuple(replace(n, role="tx", tx_id=None) if n.id == tx_id
-                                else replace(n, role="rx", tx_id=tx_id) for n in s.nodes))
-               for tx_id in sorted(n.id for n in s.nodes))
-    return _rank_subsets(s, subsets, target, metric, mc or McConfig(),
-                         f"no transmitter choice yields a bounded {metric}")
+    keys, links = [], []
+    for tx_id in sorted(n.id for n in s.nodes):
+        nodes = tuple(replace(n, role="tx", tx_id=None) if n.id == tx_id
+                      else replace(n, role="rx", tx_id=tx_id) for n in s.nodes)
+        if s.power_policy == "normalized_total":
+            nodes = _share_power(nodes, 1)
+        keys.append((tx_id,))
+        links.extend(bounds.links_of(nodes))
+    rows = np.arange(len(links)).reshape(len(keys), -1)
+    values = _score_subsets(s.params, links, rows, target, metric, mc or McConfig())
+    return _ranked(keys, values, f"no transmitter choice yields a bounded {metric}")

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import pathlib
@@ -198,3 +199,92 @@ class TestValidateVerb:
         assert run(["validate", "--draws", "3", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+def write_doc(tmp_path, nodes, name="s.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"nodes": nodes, "power_policy": "normalized_total"}))
+    return str(path)
+
+
+COMMA_NODES = [{"id": "bs,1", "position": [42.0, 0.0], "orientation_deg": 90.0},
+               {"id": "bs2", "position": [0.0, 42.0], "orientation_deg": 0.0}]
+
+
+class TestCsvQuoting:
+    def test_comma_in_node_id_reads_back(self, tmp_path):
+        out = tmp_path / "sel.csv"
+        assert run(["select-bs", "--scenario", write_doc(tmp_path, COMMA_NODES),
+                    "--target", "30,30", "--choose", "1", "-o", str(out)]) == 0
+        rows = read_csv(out)
+        assert sorted(r["nodes"] for r in rows) == ["bs,1", "bs2"]
+        assert all(r["metric"] == "peb" and float(r["value"]) > 0.0 for r in rows)
+
+    def test_comma_in_flag_reads_back(self, tmp_path):
+        out = tmp_path / "peb.csv"
+        # behind the array of bs,1, seen by bs2 only
+        assert run(["peb", "--scenario", write_doc(tmp_path, COMMA_NODES),
+                    "--target", "30,-5", "-o", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["flag"].startswith("bs,1: out-of-field")
+        assert row["metric"] == "peb"
+
+    def test_plain_rows_unquoted(self, tmp_path, capsys):
+        rows = [{"x": 1.0, "y": 2.5, "metric": "peb", "value": math.inf, "flag": ""},
+                {"x": 3.0, "y": 0.1234567891234, "metric": "peb", "value": 7,
+                 "flag": "rx2: target on the tx-rx baseline;position-info-singular"}]
+        cli.emit_table(rows, ["x", "y", "metric", "value", "flag"], "csv", None)
+        assert capsys.readouterr().out == (
+            "x,y,metric,value,flag\n"
+            "1,2.5,peb,inf,\n"
+            "3,0.123456789,peb,7,rx2: target on the tx-rx baseline;position-info-singular\n")
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("target", ["inf,30", "nan,nan", "30,-inf", "1e999,3"])
+    def test_peb_target(self, target, capsys):
+        assert run(["peb", "--scenario", MONO4, "--target", target]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_select_bs_target(self, capsys):
+        assert run(["select-bs", "--scenario", MONO4, "--target", "nan,30",
+                    "--choose", "2"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_veb_velocity(self, capsys):
+        assert run(["veb", "--scenario", MONO4, "--target", "30,30",
+                    "--velocity", "inf,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestWorkerEnvironment:
+    def test_non_integer_thread_count_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("ISAC_BOUNDS_THREADS", "abc")
+        assert run(["heatmap", "--scenario", MONO4, "--grid", "30:31:1,30:31:1"]) == 2
+        assert "ISAC_BOUNDS_THREADS" in capsys.readouterr().err
+
+
+class TestLargeSelection:
+    """8-of-16 on a ring: 12,870 subsets through the CLI."""
+
+    @pytest.mark.parametrize("metric_args", [["--metric", "peb"],
+                                             ["--metric", "veb", "--mc", "200"]])
+    def test_eight_of_sixteen_ring(self, tmp_path, metric_args):
+        nodes = []
+        for k in range(16):
+            a = 2.0 * math.pi * k / 16
+            nodes.append({"id": f"n{k:02d}",
+                          "position": [42.0 + 42.0 * math.cos(a), 42.0 + 42.0 * math.sin(a)],
+                          "orientation_deg": math.degrees(a) + 180.0})
+        out = tmp_path / "sel.csv"
+        assert run(["select-bs", "--scenario", write_doc(tmp_path, nodes),
+                    "--target", "40,45", "--choose", "8", "-o", str(out)] + metric_args) == 0
+        rows = read_csv(out)
+        ids = sorted(n["id"] for n in nodes)
+        assert len(rows) == math.comb(16, 8) == 12870
+        assert {r["nodes"] for r in rows} == {"+".join(c) for c in itertools.combinations(ids, 8)}
+        values = [float(r["value"]) for r in rows]
+        assert values == sorted(values)
+        assert math.isfinite(values[0])
+        assert [int(r["rank"]) for r in rows] == list(range(1, len(rows) + 1))
+        assert [int(r["selected"]) for r in rows] == [1] + [0] * (len(rows) - 1)
