@@ -45,6 +45,7 @@ from .model import (
     Scenario,
     SystemParams,
     TargetState,
+    required_tx,
 )
 
 METRICS = ("peb", "veb", "crlb_heading")
@@ -433,22 +434,18 @@ def _score_subsets(p: SystemParams, links, rows: np.ndarray, target, metric: str
     chunk = min(n_subsets, max(1, _CHUNK_BYTES // info[0].nbytes))
     total = np.empty((chunk,) + info.shape[1:])
     part = np.empty_like(total)
-    head = np.empty(info.shape[1:])
     for start in range(0, n_subsets, chunk):
         idx = rows[start:start + chunk]
         k = len(idx)
-        # the leading links that every subset of the chunk shares (most of
-        # them, in lexicographic order) are summed once
-        same = (idx == idx[0]).all(axis=0)
-        shared = len(same) if same.all() else int(same.argmin())
-        head.fill(0.0)
-        for i in idx[0, :shared]:
-            head += info[i]
         tot, buf = total[:k], part[:k]
-        tot[...] = head
-        for col in idx[:, shared:].T:
-            np.take(info, col, axis=0, out=buf, mode="wrap")  # -1: the zero row
-            tot += buf
+        tot.fill(0.0)
+        if k == 1:  # one subset (a velocity chunk at 1,000 draws): add rows in place
+            for i in idx[0]:
+                tot[0] += info[i]  # -1: the zero row
+        else:
+            for col in idx.T:
+                np.take(info, col, axis=0, out=buf, mode="wrap")  # -1: the zero row
+                tot += buf
         if metric == "peb":
             values[start:start + k] = np.sqrt(bounds._trace_inverse_2x2(tot.T.reshape(2, 2, k)))
             continue
@@ -493,10 +490,9 @@ def select_nodes(problem: SelectionProblem) -> SelectionResult:
         dtype=np.min_scalar_type(len(ids)), count=n_subsets * choose,
     ).reshape(n_subsets, choose)
     invalid = np.zeros(n_subsets, dtype=bool)
-    for i, n in enumerate(cands):
-        if n.role == "rx":
-            has_tx = (pos == ids.index(n.tx_id)).any(axis=1) if n.tx_id in ids else False
-            invalid |= (pos == i).any(axis=1) & ~has_tx
+    for rx_id, tx_id in required_tx(cands).items():
+        has_tx = (pos == ids.index(tx_id)).any(axis=1) if tx_id in ids else False
+        invalid |= (pos == ids.index(rx_id)).any(axis=1) & ~has_tx
     # a subset's power share is 1 / its transmitter count under
     # normalized_total; n_tx = 0 stands for the nodes' own power otherwise
     n_tx = np.array([n.role in ("monostatic", "tx") for n in cands])[pos].sum(axis=1)

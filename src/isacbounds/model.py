@@ -239,6 +239,12 @@ class TargetState:
 POWER_POLICIES = ("fixed_per_node", "normalized_total")
 
 
+def required_tx(nodes) -> dict[str, str]:
+    """{rx id: id of the tx node it needs}: a scenario holds an rx node only
+    together with its tx, which must have role 'tx'."""
+    return {n.id: n.tx_id for n in nodes if n.role == "rx"}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A sensing network: shared radio parameters, nodes, and power policy."""
@@ -255,20 +261,16 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ScenarioFormatError("duplicate node ids")
         by_id = {n.id: n for n in self.nodes}
-        n_links = 0
-        for n in self.nodes:
-            if n.role == "monostatic":
-                n_links += 1
-            elif n.role == "rx":
-                tx = by_id.get(n.tx_id)
-                if tx is None:
-                    raise ScenarioFormatError(f"node {n.id!r}: tx_id {n.tx_id!r} not found")
-                if tx.role != "tx":
-                    raise ScenarioFormatError(
-                        f"node {n.id!r}: tx_id {n.tx_id!r} has role {tx.role!r}, expected 'tx'"
-                    )
-                n_links += 1
-        if n_links == 0:
+        needs = required_tx(self.nodes)
+        for rx_id, tx_id in needs.items():
+            tx = by_id.get(tx_id)
+            if tx is None:
+                raise ScenarioFormatError(f"node {rx_id!r}: tx_id {tx_id!r} not found")
+            if tx.role != "tx":
+                raise ScenarioFormatError(
+                    f"node {rx_id!r}: tx_id {tx_id!r} has role {tx.role!r}, expected 'tx'"
+                )
+        if not needs and not any(n.role == "monostatic" for n in self.nodes):
             raise ScenarioFormatError(
                 "scenario has no sensing link (need a monostatic node or a tx/rx pair)"
             )

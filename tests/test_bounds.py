@@ -491,6 +491,17 @@ class TestBoundReport:
         assert by_id["rx2"]["velocity_info"] is None
         assert by_id["rx1"]["position_info"] is not None
 
+    @pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
+                       reason="a target a hair's breadth off an rx passes the exact "
+                              "coincidence check; the pair's position Jacobian is singular")
+    def test_target_a_hair_off_an_rx_is_scored(self):
+        facing = -math.pi / 2  # both arrays look down at the target
+        s = Scenario(params=SystemParams(), nodes=(
+            Node(id="t", position=(0.0, 1.0), orientation=facing, role="tx"),
+            Node(id="r", position=(0.0, 1e-45), orientation=facing, role="rx", tx_id="t")))
+        value, _ = engine.evaluate_metric(s, (0.0, 0.0), "peb", engine.McConfig())
+        assert value > 0.0  # a bound or +inf, not an exception or nan
+
     def test_static_target_skips_velocity(self, mono4):
         report = bounds.evaluate_bounds(engine.normalize_power(mono4),
                                         TargetState(position=(30.0, 30.0)))

@@ -114,6 +114,19 @@ def test_candidate_subset_matches_per_subset_route(policy):
         assert_same(lambda: engine.select_nodes(problem), expected)
 
 
+@pytest.mark.parametrize("metric", ("veb", "crlb_heading"))
+@pytest.mark.parametrize("name", ("mono4", "multistatic3"))
+def test_one_subset_chunks_match_per_subset_route(name, metric):
+    # enough draws that a subset's velocity sums fill a whole chunk
+    mc = McConfig(draws=1400, seed=2)
+    assert 3 * mc.draws * 8 > engine._CHUNK_BYTES
+    s = load(name)
+    for target in TARGETS[:3]:
+        problem = SelectionProblem(scenario=s, choose=2, metric=metric, target=target, mc=mc)
+        expected = per_subset_ranking(s, node_subsets(s, 2), target, metric, mc)
+        assert_same(lambda: engine.select_nodes(problem), expected)
+
+
 def test_rx_only_subsets_score_inf_under_both_policies(multistatic3):
     for policy in POLICIES:
         s = with_policy(multistatic3, policy)
@@ -170,7 +183,8 @@ def mixed_networks(draw):
 @given(s=mixed_networks(), data=st.data())
 def test_random_mixed_networks_match_per_subset_route(s, data):
     # half-metre points: on nodes and their baselines now and then, never a
-    # hair's breadth off a node (where a separated pair's Jacobian is singular)
+    # hair's breadth off a node, where a separated pair's Jacobian is
+    # singular (see test_bounds.py, test_target_a_hair_off_an_rx_is_scored)
     half_metres = st.integers(-20, 188).map(lambda v: v / 2.0)
     target = (data.draw(half_metres), data.draw(half_metres))
     metric = data.draw(st.sampled_from(METRICS))
