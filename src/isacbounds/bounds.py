@@ -7,30 +7,30 @@ is rank one (a link only measures the radial velocity component), so
 velocity bounds require at least two links with non-collinear geometry.
 
 Every network bound reads one per-link primitive, link_constants: a link's
-SNR, local DoA, ranges, target offsets and bistatic observables at the
-target. One loop over the sensing links (_link_table) calls it and turns
-degenerate links (target behind the array, coincident with a node, or on a
-tx-rx baseline) into one flag per link instead of aborting, so that
-coverage maps can render degenerate regions. The position information, the
-rank-one velocity piece and the 4x4 state information of a link are all
-computed from its constants.
+SNR, local DoA, ranges, target offsets, bistatic observables and position
+Jacobian at a block of n target positions, as (n,) arrays, with a status
+per position (geom's codes). One loop over the sensing links (_link_rows)
+calls it and turns every status other than OK into one flag per link and
+position instead of aborting, so that coverage maps can render degenerate
+regions. The position information, the rank-one velocity piece and the 4x4
+state information of a link are all computed from its constants.
+
+The public bounds take a target whose position is one point, evaluated as
+a block of one, or an (n, 2) block (see TargetState). A block position
+that no link informs gets +inf and the flag NO_INFORMATION; one point
+raises NoInformationError instead.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import geom
-from .errors import (
-    NoInformationError,
-    OutOfFieldError,
-    SingularGeometryError,
-    UndefinedHeadingError,
-)
-from .link import FisherMatrix, LinkGeometry, link_snr
+from .errors import NoInformationError, SingularGeometryError, UndefinedHeadingError
+from .link import FisherMatrix, LinkGeometry, efim_diagonal, link_snr
 from .model import SPEED_OF_LIGHT, Node, Scenario, SystemParams, TargetState
 
 C = SPEED_OF_LIGHT
@@ -38,6 +38,9 @@ C = SPEED_OF_LIGHT
 # Relative determinant threshold below which a 2x2 information matrix is
 # treated as singular (rank deficient up to roundoff).
 DET_RTOL = 1e-12
+
+# The one flag of a block position that no link informs.
+NO_INFORMATION = "no-information"
 
 
 @dataclass(frozen=True)
@@ -70,26 +73,144 @@ def links_of(nodes) -> tuple[SensingLink, ...]:
     return tuple(links)
 
 
-def link_geometry(link: SensingLink, t: TargetState) -> LinkGeometry:
-    """Ranges and local DoA of a link for a given target."""
-    doa, r_rx = geom.local_doa(link.rx, t.position)
+def _block(t: TargetState) -> TargetState:
+    """t when its position is an (n, 2) block, else the block of its one
+    position."""
+    if np.ndim(t.position) == 2:
+        return t
+    return replace(t, position=np.reshape(t.position, (1, 2)))
+
+
+def link_geometry(link: SensingLink, t: TargetState):
+    """Ranges and local DoA of a link for a given target. For a target whose
+    position is an (n, 2) block: (geometry of (n,) arrays, status), status
+    COINCIDENT, OUT_OF_FIELD, TX_COINCIDENT or OK (see geom)."""
+    xy, block = geom.positions(t.position)
+    doa, r_rx, status = geom.local_doa(link.rx, xy)
     if link.kind == "monostatic":
-        return LinkGeometry.monostatic(r_rx, doa)
-    r_tx = math.hypot(t.position[0] - link.tx.position[0],
-                      t.position[1] - link.tx.position[1])
-    if r_tx == 0.0:
-        raise SingularGeometryError("target coincides with the tx node")
-    return LinkGeometry(kind="bistatic", range_tx=r_tx, range_rx=r_rx, doa_local=doa)
+        g = LinkGeometry.monostatic(r_rx, doa)
+    else:
+        r_tx = np.hypot(xy[:, 0] - link.tx.position[0], xy[:, 1] - link.tx.position[1])
+        status = np.where((status == geom.OK) & (r_tx == 0.0), geom.TX_COINCIDENT, status)
+        g = LinkGeometry(kind="bistatic", range_tx=r_tx, range_rx=r_rx, doa_local=doa)
+    if block:
+        return g, status
+    geom.raise_status(status[0], link.rx.id)
+    return LinkGeometry(kind=g.kind, range_tx=float(g.range_tx[0]),
+                        range_rx=float(g.range_rx[0]), doa_local=float(g.doa_local[0]))
+
+
+# ---------------------------------------------------------------------------
+# the per-link primitive
+
+
+class LinkConstants(NamedTuple):
+    """What every bound reads of one link at n target positions, as (n,)
+    arrays. Where the status is not OK the other fields may be inf or nan."""
+
+    snr: np.ndarray             # per-antenna SNR before symbol division
+    geometry: LinkGeometry      # ranges and local DoA at the rx
+    d_tx: tuple                 # target minus tx position (x, y), m
+    d_rx: tuple                 # target minus rx position (x, y), m
+    obs: geom.LocalObservables | None  # separated pairs only
+    j_fwd: tuple | None         # separated pairs only: entries 00, 01, 10, 11 of
+                                # d(delay, doa)/d(local position), the inverse of
+                                # geom.jac_bis_position
+    status: np.ndarray          # geom status code: OK where the link informs
+
+
+def _no_constants(status: np.ndarray) -> np.ndarray:
+    """Where a link has no constants: the target is on a node or behind the
+    rx array (the codes below BASELINE, where the scalar forms raise)."""
+    return (status != geom.OK) & (status < geom.BASELINE)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkConstants:
+    """Constants of one link at the target's positions (one position is a
+    block of one), with the status of each position: OK, or the first geom
+    code that applies. A separated pair's position Jacobian is inverted in
+    closed form; where its determinant is zero or not finite the status is
+    SINGULAR_JACOBIAN."""
+    t = _block(t)
+    g, status = link_geometry(link, t)
+    snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
+    px, py = t.position[:, 0], t.position[:, 1]
+    d_rx = (px - link.rx.position[0], py - link.rx.position[1])
+    if link.kind == "monostatic":
+        return LinkConstants(snr, g, d_rx, d_rx, None, None, status)
+    obs, _ = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
+    ((j00, j01), (j10, j11)), ellipse = geom.jac_bis_position(obs)
+    det = j00 * j11 - j01 * j10
+    status = np.where(status == geom.OK, ellipse, status)
+    status = np.where((status == geom.OK) & ((det == 0.0) | ~np.isfinite(det)),
+                      geom.SINGULAR_JACOBIAN, status)
+    return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
+                         obs, (j11 / det, -j01 / det, -j10 / det, j00 / det), status)
+
+
+# Flag of a link dropped at a position, by status; {node} is the rx id.
+_DROP_FLAGS = {
+    geom.COINCIDENT: "target coincides with node {node!r}",
+    geom.OUT_OF_FIELD: "out-of-field",
+    geom.TX_COINCIDENT: "target coincides with the tx node",
+    geom.BASELINE: "target on the tx-rx baseline",
+    geom.SINGULAR_JACOBIAN: "position jacobian of the pair is singular",
+}
+
+
+def _link_rows(p: SystemParams, links, t: TargetState, keep_baseline: bool = False):
+    """([(link, constants, used)], flags) over the given links at the n
+    positions of a block target: used is an (n,) mask and flags a list of
+    n tuples, one flag per link unused at that position, in link order. A
+    link is unused where its status is not OK; keep_baseline keeps it where
+    the status is BASELINE or SINGULAR_JACOBIAN, which only the 2x2 closed
+    forms divide by."""
+    table = []
+    dropped = np.zeros((len(links), len(t.position)), dtype=np.int8)
+    for row, link in zip(dropped, links):
+        lc = link_constants(link, t, p)
+        unused = _no_constants(lc.status) if keep_baseline else lc.status != geom.OK
+        row[unused] = lc.status[unused]
+        table.append((link, lc, ~unused))
+    flags = [()] * len(t.position)
+    for i in np.flatnonzero(dropped.any(axis=0)).tolist():
+        flags[i] = tuple(f"{link.node_id}: " + _DROP_FLAGS[code].format(node=link.rx.id)
+                         for link, code in zip(links, dropped[:, i].tolist()) if code)
+    return table, flags
+
+
+def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
+    """(table, flags, informed): _link_rows over all sensing links of a
+    scenario, and the mask of positions that some link informs. A position
+    no link informs gets the one flag NO_INFORMATION; a target with one
+    position raises NoInformationError instead."""
+    table, flags = _link_rows(s.params, sensing_links(s), _block(t), keep_baseline)
+    informed = np.logical_or.reduce([used for _, _, used in table])
+    if np.ndim(t.position) < 2 and not informed[0]:
+        raise NoInformationError("no link contributes information")
+    for i in np.flatnonzero(~informed).tolist():
+        flags[i] = (NO_INFORMATION,)
+    return table, flags, informed
 
 
 # ---------------------------------------------------------------------------
 # closed-form single-link position bounds
 
 
+def _scalar_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkConstants:
+    """link_constants of a target with one position; raises, as the scalar
+    forms do, where the link has none."""
+    lc = link_constants(link, t, p)
+    if _no_constants(lc.status[0]):
+        geom.raise_status(lc.status[0], link.rx.id)
+    return lc
+
+
 def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single co-located Tx/Rx node."""
-    lc = link_constants(SensingLink(node.id, node, node, "monostatic", node.power_scale), t, p)
-    snr, r, doa = lc.snr, lc.geometry.range_rx, lc.geometry.doa_local
+    lc = _scalar_constants(SensingLink(node.id, node, node, "monostatic", node.power_scale), t, p)
+    snr, r, doa = lc.snr[0], lc.geometry.range_rx[0], lc.geometry.doa_local[0]
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     eta = p.constellation.penalty
@@ -102,11 +223,11 @@ def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
 
 def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single separated Tx/Rx pair."""
-    lc = link_constants(SensingLink(rx.id, tx, rx, "bistatic", tx.power_scale), t, p)
-    if lc.on_baseline:
+    lc = _scalar_constants(SensingLink(rx.id, tx, rx, "bistatic", tx.power_scale), t, p)
+    if lc.status[0] == geom.BASELINE:
         return math.inf
-    obs, snr = lc.obs, lc.snr
-    rbar, l, thl = obs.bistatic_range, obs.baseline, obs.look_angle
+    obs, snr = lc.obs, lc.snr[0]
+    rbar, l, thl = obs.bistatic_range[0], obs.baseline, obs.look_angle[0]
     guard = rbar - l * math.cos(thl)
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
@@ -114,177 +235,136 @@ def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float
     a = l**2 + rbar**2 - 2.0 * l * rbar * math.cos(thl)
     crlb = (3.0 * eta * a / (8.0 * math.pi**2 * snr * nr * k * m * guard**4)) * (
         C**2 * a / (p.subcarrier_spacing**2 * (k**2 - 1))
-        + 4.0 * (l**2 - rbar**2) ** 2 / ((nr**2 - 1) * math.cos(obs.doa) ** 2)
+        + 4.0 * (l**2 - rbar**2) ** 2 / ((nr**2 - 1) * math.cos(obs.doa[0]) ** 2)
     )
     return math.sqrt(crlb)
 
 
 # ---------------------------------------------------------------------------
-# the per-link primitive
+# per-link information, read from the link constants; symmetric 2x2 pieces
+# are carried as their (xx, xy, yy) entries
 
 
-class LinkConstants(NamedTuple):
-    """What every bound reads of one link at one target position."""
-
-    snr: float                  # per-antenna SNR before symbol division
-    geometry: LinkGeometry      # ranges and local DoA at the rx
-    d_tx: tuple[float, float]   # target minus tx position, m
-    d_rx: tuple[float, float]   # target minus rx position, m
-    obs: geom.LocalObservables | None  # separated pairs only
-    on_baseline: bool           # the ellipse guard trips (separated pairs only)
+def _matrix(xx, xy, yy) -> np.ndarray:
+    """The symmetric matrix of the entries; a (2, 2, ...) stack for arrays."""
+    return np.array([[xx, xy], [xy, yy]])
 
 
-def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkConstants:
-    """Constants of one link at the target position. Raises OutOfFieldError
-    or SingularGeometryError when the target is behind the rx array or
-    coincides with a node; a target on the tx-rx baseline only sets
-    on_baseline."""
-    g = link_geometry(link, t)
-    snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
-    px, py = t.position
-    d_rx = (px - link.rx.position[0], py - link.rx.position[1])
-    if link.kind == "monostatic":
-        return LinkConstants(snr, g, d_rx, d_rx, None, False)
-    obs = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
-    guard = obs.bistatic_range - obs.baseline * math.cos(obs.look_angle)
-    return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
-                         obs, guard <= geom.BASELINE_DEGENERACY_RTOL * obs.bistatic_range)
+def _rotate(info, angle: float):
+    """(xx, xy, yy) of R^T M R, R = geom.jac_rotation(angle): local-frame
+    information of a node oriented at angle in the global frame."""
+    c, s = math.cos(angle), math.sin(angle)
+    cc, ss, cs = c * c, s * s, c * s
+    xx, xy, yy = info
+    return (cc * xx - 2.0 * cs * xy + ss * yy,
+            cs * xx + (cc - ss) * xy - cs * yy,
+            ss * xx + 2.0 * cs * xy + cc * yy)
 
 
-def _link_rows(p: SystemParams, links, t: TargetState, keep_baseline: bool = False):
-    """([(link, constants or None, used)], flags) over the given links, one
-    flag per unused link. A link is unused when its constants raised or,
-    unless keep_baseline, the target is on its tx-rx baseline, where the 2x2
-    closed forms divide by the vanishing ellipse guard."""
-    table = []
-    flags = []
-    for link in links:
-        lc = None
-        try:
-            lc = link_constants(link, t, p)
-        except OutOfFieldError:
-            flags.append(f"{link.node_id}: out-of-field")
-        except SingularGeometryError as exc:
-            flags.append(f"{link.node_id}: {exc}")
-        used = lc is not None and (keep_baseline or not lc.on_baseline)
-        if lc is not None and not used:
-            flags.append(f"{link.node_id}: target on the tx-rx baseline")
-        table.append((link, lc, used))
-    return table, flags
-
-
-def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
-    """_link_rows over all sensing links of a scenario; raises
-    NoInformationError when no link is used."""
-    table, flags = _link_rows(s.params, sensing_links(s), t, keep_baseline)
-    if not any(used for _, _, used in table):
-        raise NoInformationError("no link contributes information")
-    return table, flags
-
-
-# ---------------------------------------------------------------------------
-# per-link information, read from the link constants
-
-
-def _efim_diag(p: SystemParams, snr: float, doa: float) -> tuple[float, float, float]:
-    """Diagonal (doppler, delay, doa) of the local effective Fisher matrix."""
+def _mono_local_position_info(p: SystemParams, snr, p_local, doa):
+    """Local-frame position information (xx, xy, yy) of a co-located node,
+    element form; elementwise when p_local is a (2, n) array."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    pref = snr * nr * k * m / p.constellation.penalty
-    pi = math.pi
-    return (
-        pref * 2.0 * pi**2 * p.symbol_duration**2 * (m**2 - 1) / 3.0,
-        pref * 2.0 * pi**2 * p.subcarrier_spacing**2 * (k**2 - 1) / 3.0,
-        pref * pi**2 * (nr**2 - 1) * math.cos(doa) ** 2 / 6.0,
-    )
-
-
-def _mono_local_position_info(p: SystemParams, snr: float, p_local, doa: float) -> np.ndarray:
-    """Local-frame position information of a co-located node, element form."""
-    fr = p.frame
-    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    x, y = float(p_local[0]), float(p_local[1])
+    x, y = p_local
     r2 = x * x + y * y
     xi = (math.pi**2 * k * m * nr * snr
           / (6.0 * p.constellation.penalty * C**2 * r2**2))
-    cos2 = math.cos(doa) ** 2
+    cos2 = np.cos(doa) ** 2
     df2k = 16.0 * p.subcarrier_spacing**2 * (k**2 - 1)
     cnr = C**2 * (nr**2 - 1) * cos2
-    return xi * np.array([
-        [df2k * x * x * r2 + cnr * y * y, x * y * (df2k * r2 - cnr)],
-        [x * y * (df2k * r2 - cnr), df2k * y * y * r2 + cnr * x * x],
-    ])
+    return (xi * (df2k * x * x * r2 + cnr * y * y),
+            xi * (x * y * (df2k * r2 - cnr)),
+            xi * (df2k * y * y * r2 + cnr * x * x))
 
 
-def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants,
-                   t: TargetState) -> np.ndarray:
-    """Position information of one link, global frame; a separated pair's
-    via the inverse of the (delay, doa) -> local-position Jacobian."""
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState):
+    """Position information (xx, xy, yy) of one link at the n positions of
+    a block target, global frame; a separated pair's through the inverse
+    of its (delay, doa) -> local-position Jacobian."""
     if link.kind == "monostatic":
-        p_local = geom.global_to_local(t.position, link.rx)
-        local = _mono_local_position_info(p, lc.snr, p_local, lc.geometry.doa_local)
+        local = _mono_local_position_info(p, lc.snr, geom.global_to_local(t.position, link.rx),
+                                          lc.geometry.doa_local)
     else:
-        _, d_tau, d_theta = _efim_diag(p, lc.snr, lc.obs.doa)
-        j_fwd = np.linalg.inv(geom.jac_bis_position(lc.obs))
-        local = j_fwd.T @ np.diag([d_tau, d_theta]) @ j_fwd
-    j_rot = geom.jac_rotation(link.rx.orientation)
-    return j_rot.T @ local @ j_rot
+        _, d_tau, d_theta = efim_diagonal(p, lc.snr, lc.obs.doa)
+        i00, i01, i10, i11 = lc.j_fwd
+        local = (i00 * i00 * d_tau + i10 * i10 * d_theta,
+                 i00 * i01 * d_tau + i10 * i11 * d_theta,
+                 i01 * i01 * d_tau + i11 * i11 * d_theta)
+    return _rotate(local, link.rx.orientation)
 
 
-def _velocity_info(p: SystemParams, link: SensingLink, lc: LinkConstants, vx, vy) -> np.ndarray:
-    """Rank-one velocity information kn * w w^T of one link, global frame;
-    vx, vy arrays of n headings give a (2, 2, n) stack."""
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _velocity_info(p: SystemParams, link: SensingLink, lc: LinkConstants, vx, vy):
+    """Rank-one velocity information kn * w w^T of one link, global frame,
+    as (xx, xy, yy). The n positions' constants enter as (n, 1) columns, so
+    velocity components of shape (n, D), D headings per position, give
+    (n, D) entries and scalar ones (n, 1)."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
-    cos2 = math.cos(lc.geometry.doa_local) ** 2
-    r_tx, r_rx = lc.geometry.range_tx, lc.geometry.range_rx
-    dxn, dyn = lc.d_rx
+    eta = p.constellation.penalty
+    snr = lc.snr[:, None]
+    cos2 = np.cos(lc.geometry.doa_local)[:, None] ** 2
+    r_tx, r_rx = lc.geometry.range_tx[:, None], lc.geometry.range_rx[:, None]
+    dxn, dyn = lc.d_rx[0][:, None], lc.d_rx[1][:, None]
     if link.kind == "monostatic":
+        # kn = num / (eta * (48 ts^2 (M^2 - 1) cross^2 + 3 (N_R^2 - 1) r^2 lam^2 cos^2))
         cross = dxn * vy - dyn * vx
-        num = (8.0 * math.pi**2 * lc.snr * nr * k * m * ts**2
-               * (m**2 - 1) * (nr**2 - 1) * cos2)
-        den = p.constellation.penalty * (
-            48.0 * ts**2 * (m**2 - 1) * cross**2
-            + 3.0 * (nr**2 - 1) * r_rx**2 * lam**2 * cos2
-        )
-        w = np.array([dxn, dyn])
-        return np.multiply.outer(np.outer(w, w), num / den)
-    dxt, dyt = lc.d_tx
-    a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * lc.snr
-              * k * (k**2 - 1) * m * (m**2 - 1) * nr * (nr**2 - 1)
-              / p.constellation.penalty)
-    dot_tn = dxn * dxt + dyn * dyt
-    rn2 = dxn * dxn + dyn * dyn
-    rt2 = dxt * dxt + dyt * dyt
-    q_n = vy * dxn - vx * dyn
-    q_t = vy * dxt - vx * dyt
-    u1 = (r_tx**4 * q_n * rn2 + r_rx * r_tx**3 * q_n * dot_tn
-          + r_rx**3 * r_tx * q_t * dot_tn + r_rx**4 * q_t * rt2)
-    u2 = (C**2 * ts**2 * (m**2 - 1) * r_rx**2 * q_t**2 * (dxt * dyn - dxn * dyt) ** 2
-          + lam**2 * df**2 * (k**2 - 1) * r_tx**4
-          * (r_tx * rn2 + r_rx * dot_tn) ** 2)
-    num = a_coef * r_tx**4 * cos2 * (r_tx * rn2 + r_rx * dot_tn) ** 2
-    den = (12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1) * u1**2
-           + 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2 * u2)
-    w = np.array([r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt])
-    return np.multiply.outer(np.outer(w, w), num / den)
+        num = (8.0 * math.pi**2 * nr * k * m * ts**2 * (m**2 - 1) * (nr**2 - 1)) * snr * cos2
+        kn = num / ((eta * 48.0 * ts**2 * (m**2 - 1)) * cross**2
+                    + (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2)
+        w0, w1 = dxn, dyn
+    else:
+        dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
+        dot_tn = dxn * dxt + dyn * dyt
+        ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
+        q_n = vy * dxn - vx * dyn
+        q_t = vy * dxt - vx * dyt
+        # u1 = r_tx^3 ell q_n + r_rx^3 (r_tx dot_tn + r_rx r_t^2) q_t,
+        # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
+        u1 = r_tx**3 * ell * q_n + r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt)) * q_t
+        g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
+        u2_q = g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2
+        u2_0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
+        a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
+                  * nr * (nr**2 - 1) / eta)
+        num = a_coef * snr * r_tx**4 * cos2 * ell**2
+        kn = num / ((12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1)) * u1**2
+                    + u2_q * q_t**2 + u2_0)
+        w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
+    return kn * (w0 * w0), kn * (w0 * w1), kn * (w1 * w1)
+
+
+def _used(info, used: np.ndarray):
+    """The information entries where the link is used, zero elsewhere."""
+    if used.all():
+        return info
+    mask = used.reshape(used.shape + (1,) * (np.ndim(info[0]) - 1))
+    return tuple(np.where(mask, v, 0.0) for v in info)
+
+
+def _one_velocity(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState):
+    """_velocity_info at the target's own velocity, as (n,) entries."""
+    return tuple(v[:, 0] for v in _velocity_info(p, link, lc, *t.velocity))
 
 
 def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
     """Rank-one velocity information of a single link, global frame."""
-    lc = link_constants(link, t, p)
-    if lc.on_baseline:
+    lc = _scalar_constants(link, t, p)
+    if lc.status[0] == geom.BASELINE:
         raise SingularGeometryError("target on the tx-rx baseline")
-    return _velocity_info(p, link, lc, *t.velocity)
+    return _matrix(*(v[0] for v in _one_velocity(p, link, lc, _block(t))))
 
 
 def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
                      lc: LinkConstants | None = None) -> np.ndarray:
-    """4x4 information over (x, y, vx, vy) of one link, global frame."""
+    """4x4 information over (x, y, vx, vy) of one link at one target
+    position, global frame."""
     if lc is None:
-        lc = link_constants(link, t, p)
-    e3 = np.diag(_efim_diag(p, lc.snr, lc.geometry.doa_local))
+        lc = _scalar_constants(link, t, p)
+    e3 = np.diag([v[0] for v in efim_diagonal(p, lc.snr, lc.geometry.doa_local)])
     if link.kind == "monostatic":
         j = geom.jac_mono_state(link.rx, t, p.wavelength)
     else:
@@ -293,26 +373,26 @@ def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
 
 
 def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -> np.ndarray:
-    """Information of each of L links at the target, one row per link, for
-    summing over many subsets of the links: position (xx, xy, yx, yy) as an
-    (L + 1, 4) array or, given the velocity components vx, vy of n headings,
-    velocity (xx, xy, yy) as an (L + 1, 3, n) array (the rank-one piece is
-    symmetric). An unused link (see _link_rows) and the extra last row are
-    zero, so a subset that adds its links' rows, in link order and from
-    zero, gets exactly the sums of the network bounds."""
+    """Information of each of L links at one target position, one row per
+    link, for summing over many subsets of the links: position (xx, xy, yy)
+    as an (L + 1, 3) array or, given the velocity components vx, vy of D
+    headings, velocity (xx, xy, yy) as an (L + 1, 3, D) array. An unused
+    link (see _link_rows) and the extra last row are zero, so a subset that
+    adds its links' rows, in link order and from zero, gets exactly the
+    sums of the network bounds."""
+    t = _block(t)
     table, _ = _link_rows(p, links, t)
     if vx is None:
-        info = np.zeros((len(links) + 1, 4))
+        info = np.zeros((len(links) + 1, 3))
     else:
         info = np.zeros((len(links) + 1, 3, np.size(vx)))
     for row, (link, lc, used) in zip(info, table):
-        if not used:
+        if not used[0]:
             continue
         if vx is None:
-            row[:] = _position_info(p, link, lc, t).ravel()
+            row[:] = [v[0] for v in _position_info(p, link, lc, t)]
         else:
-            v = _velocity_info(p, link, lc, vx, vy)
-            row[:] = v[0, 0], v[0, 1], v[1, 1]
+            row[:] = [v[0] for v in _velocity_info(p, link, lc, vx, vy)]
     return info
 
 
@@ -322,7 +402,8 @@ def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -
 
 @dataclass
 class BoundReport:
-    """Bounds and per-link contributions for one target."""
+    """Bounds and per-link contributions for one target; for a block of n
+    positions (see evaluate_bounds), (n,) arrays and (2, 2, n) stacks."""
 
     peb: float
     veb: float | None
@@ -333,64 +414,75 @@ class BoundReport:
     flags: tuple[str, ...] = ()
 
 
+def _add_flag(flags: list, where: np.ndarray, flag: str) -> None:
+    """Append flag to the flags of the positions where the mask is set."""
+    for i in np.flatnonzero(where).tolist():
+        flags[i] += (flag,)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def _network_sums(s: Scenario, t: TargetState):
-    """(per_node, flags, position sum, velocity sum) over the used links;
-    per_node has an entry for every link, and velocity only when moving."""
-    table, flags = _link_table(s, t)
+    """(per_node, flags, informed, position sums, velocity sums) at the
+    target's positions: _link_table, and the (xx, xy, yy) information of
+    the links used at each position, added in link order from zero.
+    per_node has an entry for every link, holding (n,) arrays (None where
+    the link is used nowhere), and velocity only for a moving target."""
+    table, flags, informed = _link_table(s, t)
+    t = _block(t)
+    n = len(t.position)
     moving = t.speed > 0.0
-    pos_total = np.zeros((2, 2))
-    vel_total = np.zeros((2, 2)) if moving else None
+    pos_total = [np.zeros(n) for _ in range(3)]
+    vel_total = [np.zeros(n) for _ in range(3)] if moving else None
     per_node = []
     for link, lc, used in table:
         entry = {"node_id": link.node_id, "kind": link.kind,
-                 "snr_db": None if lc is None else 10.0 * math.log10(lc.snr),
+                 "snr_db": np.where(_no_constants(lc.status), math.nan, 10.0 * np.log10(lc.snr)),
                  "position_info": None}
         if moving:
             entry["velocity_info"] = None
-        if used:
-            entry["position_info"] = _position_info(s.params, link, lc, t)
-            pos_total += entry["position_info"]
+        if used.any():
+            entry["position_info"] = info = _used(_position_info(s.params, link, lc, t), used)
+            for total, v in zip(pos_total, info):
+                total += v
             if moving:
-                entry["velocity_info"] = _velocity_info(s.params, link, lc, *t.velocity)
-                vel_total += entry["velocity_info"]
+                entry["velocity_info"] = info = _used(_one_velocity(s.params, link, lc, t), used)
+                for total, v in zip(vel_total, info):
+                    total += v
         per_node.append(entry)
-    return per_node, flags, pos_total, vel_total
+    return per_node, flags, informed, pos_total, vel_total
 
 
 def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
     """Sum of per-link position information in the global frame."""
-    return FisherMatrix(labels=("x", "y"), values=_network_sums(s, t)[2])
+    return FisherMatrix(labels=("x", "y"), values=_matrix(*(v[0] for v in _network_sums(s, t)[3])))
 
 
-def _trace_inverse_2x2(m: np.ndarray):
-    """Trace of the inverse, +inf when numerically singular; per matrix
-    when m is a (2, 2, n) stack."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    # not (det <= rtol * |m00 m11| or det not finite), NaN included
-    bounded = (det > DET_RTOL * abs(m[0, 0] * m[1, 1])) & (det < math.inf)
-    trace = m[0, 0] + m[1, 1]
-    if m.ndim == 2:  # one matrix: a branch costs less than the array select
-        return trace / det if bounded else math.inf
-    return np.where(bounded, trace, math.inf) / np.where(bounded, det, 1.0)
+def _trace_inverse_2x2(xx, xy, yy):
+    """Trace of the inverse of [[xx, xy], [xy, yy]], elementwise over
+    arrays; +inf where numerically singular."""
+    det = xx * yy - xy * xy
+    # not (det <= rtol * |xx yy| or det not finite), NaN included
+    bounded = (det > DET_RTOL * np.abs(xx * yy)) & (det < math.inf)
+    return np.where(bounded, xx + yy, math.inf) / np.where(bounded, det, 1.0)
 
 
 def network_peb(s: Scenario, t: TargetState) -> float:
     """Network position error bound, sqrt of the trace of the inverse
     summed information; +inf when the summed information is singular."""
-    efim = network_position_efim(s, t)
-    return math.sqrt(_trace_inverse_2x2(efim.values))
+    return float(np.sqrt(_trace_inverse_2x2(*_network_sums(s, t)[3]))[0])
 
 
 def _heading_trig(heading):
     """(cos, sin, sin 2x) of the heading(s), as _polar_crlbs reads them."""
-    return np.cos(heading), np.sin(heading), np.sin(2.0 * heading)
+    c, s = np.cos(heading), np.sin(heading)
+    return c, s, 2.0 * s * c
 
 
 def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     """(speed CRLB, heading CRLB, singular) from the xx, xy, yy entries of
     summed velocity information and _heading_trig of the heading;
-    elementwise when they are arrays over headings (or over subsets by
-    headings, the trig terms broadcasting)."""
+    elementwise when they are arrays over headings (or over subsets or
+    positions by headings, the trig terms broadcasting)."""
     det = vxx * vyy - vxy * vxy
     singular = (det <= DET_RTOL * np.abs(vxx * vyy)) | ~np.isfinite(det)
     safe_det = np.where(singular, 1.0, det)
@@ -401,14 +493,12 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     return crlb_speed, crlb_heading, singular
 
 
-def _velocity_bounds(total: np.ndarray, t: TargetState, flags: list) -> tuple[float, float]:
-    """(veb, heading CRLB) of a moving target from its summed velocity
-    information; appends the singular flag to flags."""
-    crlb_speed, crlb_heading, singular = _polar_crlbs(
-        total[0, 0], total[0, 1], total[1, 1], t.speed, _heading_trig(t.heading))
-    if singular:
-        flags.append("velocity-info-singular")
-    return math.sqrt(crlb_speed), float(crlb_heading)
+def _velocity_bounds(total, t: TargetState, flags: list, informed: np.ndarray):
+    """(veb, heading CRLB) arrays of a moving target from its summed
+    velocity information; flags the informed positions where it is singular."""
+    crlb_speed, crlb_heading, singular = _polar_crlbs(*total, t.speed, _heading_trig(t.heading))
+    _add_flag(flags, singular & informed, "velocity-info-singular")
+    return np.sqrt(crlb_speed), crlb_heading
 
 
 def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
@@ -419,10 +509,10 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    _, flags, _, total = _network_sums(s, t)
-    veb, crlb_heading = _velocity_bounds(total, t, flags)
-    return {"veb": veb, "crlb_heading": crlb_heading,
-            "velocity_efim": total, "flags": tuple(flags)}
+    _, flags, informed, _, total = _network_sums(s, t)
+    veb, crlb_heading = _velocity_bounds(total, t, flags, informed)
+    return {"veb": float(veb[0]), "crlb_heading": float(crlb_heading[0]),
+            "velocity_efim": _matrix(*(v[0] for v in total)), "flags": flags[0]}
 
 
 def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
@@ -436,10 +526,11 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    table, flags = _link_table(s, t, keep_baseline=True)
+    table, flags, _ = _link_table(s, t, keep_baseline=True)
+    flags = list(flags[0])
     total = np.zeros((4, 4))
     for link, lc, used in table:
-        if used:
+        if used[0]:
             total += _link_state_info(link, t, s.params, lc)
     i_p = total[:2, :2]
     i_pv = total[:2, 2:]
@@ -458,25 +549,40 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
 
 def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     """Full report for one target: position bound always, velocity bounds
-    when the target moves."""
-    per_node, flags, pos_total, vel_total = _network_sums(s, t)
-    peb = math.sqrt(_trace_inverse_2x2(pos_total))
-    if math.isinf(peb):
-        flags.append("position-info-singular")
+    when the target moves.
+
+    For a target whose position is an (n, 2) block, the report holds (n,)
+    arrays, (2, 2, n) stacks, per-node (xx, xy, yy) arrays and a list of n
+    flag tuples; a position that no link informs gets +inf and the one
+    flag NO_INFORMATION, where a target with one position raises
+    NoInformationError.
+    """
+    per_node, flags, informed, pos_total, vel_total = _network_sums(s, t)
+    peb = np.sqrt(_trace_inverse_2x2(*pos_total))
+    _add_flag(flags, np.isinf(peb) & informed, "position-info-singular")
     veb = crlb_heading = None
     if vel_total is not None:
-        veb, crlb_heading = _velocity_bounds(vel_total, t, flags)
+        veb, crlb_heading = _velocity_bounds(vel_total, t, flags, informed)
+    if np.ndim(t.position) == 2:
+        return BoundReport(peb, veb, crlb_heading, _matrix(*pos_total),
+                           None if vel_total is None else _matrix(*vel_total), per_node, flags)
+    for entry in per_node:
+        entry["snr_db"] = None if math.isnan(entry["snr_db"][0]) else float(entry["snr_db"][0])
+        for key in ("position_info", "velocity_info"):
+            if entry.get(key) is not None:
+                entry[key] = _matrix(*(v[0] for v in entry[key]))
     return BoundReport(
-        peb=peb,
-        veb=veb,
-        crlb_heading=crlb_heading,
-        position_efim=pos_total,
-        velocity_efim=vel_total,
+        peb=float(peb[0]),
+        veb=None if veb is None else float(veb[0]),
+        crlb_heading=None if crlb_heading is None else float(crlb_heading[0]),
+        position_efim=_matrix(*(v[0] for v in pos_total)),
+        velocity_efim=None if vel_total is None else _matrix(*(v[0] for v in vel_total)),
         per_node=per_node,
-        flags=tuple(flags),
+        flags=flags[0],
     )
 
 
+@np.errstate(invalid="ignore")
 def heading_velocity_metrics(s: Scenario, position, speed: float,
                              headings: np.ndarray, rcs: float = 1.0) -> dict:
     """Velocity bound and heading CRLB over an array of headings.
@@ -484,23 +590,27 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     Vectorized over headings for Monte-Carlo averaging: the link constants
     are computed once, only the velocity-dependent coefficient varies.
     Singular headings are reported in the mask; callers decide how to
-    aggregate.
+    aggregate. For an (n, 2) block of positions, headings is (n, D) (or
+    (D,), shared), the results are (n, D) arrays and flags a list of n
+    tuples; a position that no link informs is singular throughout and
+    gets the one flag NO_INFORMATION, where one position raises
+    NoInformationError.
     """
     if speed <= 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    headings = np.asarray(headings, dtype=float)
-    vx = speed * np.cos(headings)
-    vy = speed * np.sin(headings)
-    table, flags = _link_table(s, TargetState(position=tuple(position), rcs=rcs))
-    total = np.zeros((2, 2) + headings.shape)
+    t = TargetState(position=position, rcs=rcs)
+    table, flags, _ = _link_table(s, t)
+    t = _block(t)
+    trig = _heading_trig(np.atleast_2d(np.asarray(headings, dtype=float)))
+    vx, vy = speed * trig[0], speed * trig[1]
+    total = [np.zeros((len(t.position), vx.shape[1])) for _ in range(3)]
     for link, lc, used in table:
-        if used:
-            total += _velocity_info(s.params, link, lc, vx, vy)
-    crlb_speed, crlb_heading, singular = _polar_crlbs(
-        total[0, 0], total[0, 1], total[1, 1], speed, _heading_trig(headings))
-    return {
-        "veb": np.sqrt(crlb_speed),
-        "crlb_heading": crlb_heading,
-        "singular": singular,
-        "flags": tuple(flags),
-    }
+        if used.any():
+            for tot, v in zip(total, _used(_velocity_info(s.params, link, lc, vx, vy), used)):
+                tot += v
+    crlb_speed, crlb_heading, singular = _polar_crlbs(*total, speed, trig)
+    res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
+           "singular": singular, "flags": flags}
+    if np.ndim(position) == 2:
+        return res
+    return {key: value[0] for key, value in res.items()}

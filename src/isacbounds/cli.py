@@ -246,8 +246,7 @@ def _run_heatmap(args) -> int:
     s = _load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     metric = args.metric
-    cells = engine.heatmap(s, grid, metric, _mc_from_args(args),
-                           workers=None, rcs=args.rcs)
+    cells = engine.heatmap(s, grid, metric, _mc_from_args(args), rcs=args.rcs)
     rows = [{"x": x, "y": y, "metric": metric, "value": v, "flag": f}
             for (x, y, v, f) in cells]
     emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)

@@ -1,9 +1,16 @@
 """Scenario ingestion, power normalization, coverage maps, parameter sweeps,
 and exhaustive node/transmitter selection.
 
-Monte-Carlo heading draws use one counter-based substream per grid cell
-(seeded by the cell index), so results are bit-identical for a given seed
-regardless of how cells are scheduled across workers.
+Maps are evaluated in one process, chunk by chunk, through the block form of
+evaluate_metric: a chunk's cells go through every per-link layer as arrays,
+each link's information is added in link order from zero, and the sums are
+inverted as a stack; a cell gets exactly the value and flags of
+evaluate_metric at its own position. A chunk holds as many cells as keep its
+largest array (cells x heading draws, or the cells' 2x2 position
+information) within _CHUNK_BYTES. Monte-Carlo heading
+draws use one counter-based substream per grid cell (seeded by the cell
+index), so results are bit-identical for a given seed whatever the chunk
+size.
 
 Selection scores every subset from per-link information computed once.
 Information from independent links adds, so a subset's summed information
@@ -25,8 +32,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,12 +56,13 @@ from .model import (
 METRICS = ("peb", "veb", "crlb_heading")
 SWEEP_PARAMETERS = ("frac_subcarriers", "frac_symbols", "n_rx_ant")
 
-WORKERS_ENV = "ISAC_BOUNDS_THREADS"
-
-# Bytes of summed information per chunk of subsets in the subset scorer:
-# 1,024 subsets' position sums, or one subset's velocity sums over 1,000
-# heading draws (six over 200). Larger chunks run faster but raise peak
-# memory: at 64 KB the ring workload's peak RSS rose ~0.4 MB.
+# Bytes of the largest array a chunk works on. The subset scorer's chunk
+# holds this much summed information: 1,365 subsets' position sums, or one
+# subset's velocity sums over 1,000 heading draws. A map chunk holds as many
+# cells as keep their largest array this small: 1,024 PEB cells (a 2x2
+# float64 information matrix each), or 4 cells at 1,000 draws. Larger chunks
+# run no faster but raise peak memory: 4,096-cell PEB chunks read ~2 MB more
+# peak RSS, and at 64 KB the ring workload's peak RSS rose ~0.4 MB.
 _CHUNK_BYTES = 32 * 1024
 
 
@@ -71,6 +77,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max, self.step))):
+            raise ScenarioFormatError("grid bounds and step must be finite")
         if self.step <= 0.0:
             raise ScenarioFormatError("grid step must be positive")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
@@ -285,98 +293,58 @@ def _share_power(nodes, n_tx: int) -> tuple[Node, ...]:
 # ---------------------------------------------------------------------------
 # metric evaluation
 
-def _mc_average(values: np.ndarray, singular: np.ndarray) -> tuple[float, str]:
-    """Cell aggregate: any singular draw poisons the mean to +inf."""
-    n_bad = int(singular.sum())
-    if n_bad:
-        return math.inf, f"singular-draws={n_bad}/{singular.size}"
-    return float(values.mean()), ""
-
-
 def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
-                    cell_index: int = 0, rcs: float = 1.0) -> tuple[float, str]:
+                    cell_index=0, rcs: float = 1.0):
     """One metric value at one position; power must already be normalized.
 
-    Velocity metrics are averaged over Monte-Carlo headings at the fixed
-    speed of the Monte-Carlo config. Returns (value, flag)."""
-    if metric == "peb":
-        try:
-            report = bounds.evaluate_bounds(s, TargetState(position=tuple(position), rcs=rcs))
-        except NoInformationError:
-            return math.inf, "no-information"
-        return report.peb, ";".join(report.flags)
+    Velocity metrics are averaged over the Monte-Carlo headings of the
+    cell's substream at the fixed speed of the Monte-Carlo config; any
+    singular draw makes the value +inf. Returns (value, flag). For an
+    (n, 2) block of positions with n cell indices, returns an (n,) array of
+    values and a list of n flags, each cell's the same as on its own."""
     if metric not in METRICS:
         raise ScenarioFormatError(f"unknown metric {metric!r}")
-    headings = mc.headings(cell_index)
-    try:
-        res = bounds.heading_velocity_metrics(s, position, mc.speed, headings, rcs=rcs)
-    except NoInformationError:
-        return math.inf, "no-information"
-    values = res["veb"] if metric == "veb" else res["crlb_heading"]
-    value, flag = _mc_average(values, res["singular"])
-    flags = ";".join(res["flags"])
-    if flag:
-        flags = f"{flags};{flag}" if flags else flag
-    return value, flags
-
-
-def _heatmap_rows(args) -> list[tuple]:
-    s, grid, metric, mc, rcs, iy_list = args
-    xs, ys = grid.xs(), grid.ys()
-    nx = xs.size
-    out = []
-    for iy in iy_list:
-        for ix in range(nx):
-            cell = iy * nx + ix
-            value, flag = evaluate_metric(s, (float(xs[ix]), float(ys[iy])), metric, mc, cell, rcs)
-            out.append((float(xs[ix]), float(ys[iy]), value, flag))
-    return out
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else the ISAC_BOUNDS_THREADS
-    environment variable, else serial. Zero means one worker per CPU."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError as exc:
-            raise ScenarioFormatError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ScenarioFormatError("worker count must be >= 0")
-    return workers
+    xy = np.reshape(np.asarray(position, dtype=float), (-1, 2))
+    if metric == "peb":
+        report = bounds.evaluate_bounds(s, TargetState(position=xy, rcs=rcs))
+        values, flags = report.peb, report.flags
+    else:
+        headings = np.array([mc.headings(i) for i in np.reshape(cell_index, -1).tolist()])
+        res = bounds.heading_velocity_metrics(s, xy, mc.speed, headings, rcs=rcs)
+        draws = res["veb"] if metric == "veb" else res["crlb_heading"]
+        n_bad = res["singular"].sum(axis=1)
+        values = np.where(n_bad > 0, math.inf, draws.mean(axis=1))
+        flags = res["flags"]
+        for i in np.flatnonzero(n_bad).tolist():
+            if flags[i] != (bounds.NO_INFORMATION,):
+                flags[i] += (f"singular-draws={n_bad[i]}/{mc.draws}",)
+    flags = [";".join(f) if f else "" for f in flags]
+    if np.ndim(position) == 2:
+        return values, flags
+    return float(values[0]), flags[0]
 
 
 def heatmap(s: Scenario, grid: GridSpec, metric: str = "peb",
-            mc: McConfig | None = None, workers: int | None = None,
-            rcs: float = 1.0) -> list[tuple]:
+            mc: McConfig | None = None, rcs: float = 1.0) -> list[tuple]:
     """Evaluate a metric on every grid point.
 
-    Returns rows (x, y, value, flag) in row-major y-then-x order. Output is
-    bit-identical for a given Monte-Carlo seed regardless of worker count.
+    Returns rows (x, y, value, flag) in row-major y-then-x order. Cells are
+    evaluated in chunks through the block form of evaluate_metric; output
+    is bit-identical for a given Monte-Carlo seed whatever the chunk size.
     """
     mc = mc or McConfig()
     s = normalize_power(s)
-    ys = grid.ys()
-    workers = resolve_workers(workers)
-    iy_all = list(range(ys.size))
-    if workers <= 1 or ys.size == 1:
-        return _heatmap_rows((s, grid, metric, mc, rcs, iy_all))
-    chunks = [iy_all[i::workers] for i in range(workers)]
-    tasks = [(s, grid, metric, mc, rcs, chunk) for chunk in chunks if chunk]
-    results: dict[int, list[tuple]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk, rows in zip((t[5] for t in tasks), pool.map(_heatmap_rows, tasks)):
-            nx = grid.xs().size
-            for j, iy in enumerate(chunk):
-                results[iy] = rows[j * nx:(j + 1) * nx]
-    out = []
-    for iy in iy_all:
-        out.extend(results[iy])
-    return out
+    cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
+    # float64 bytes per cell: a 2x2 matrix, or one value per heading draw
+    cell_bytes = 8 * (4 if metric == "peb" else mc.draws)
+    chunk = max(1, _CHUNK_BYTES // cell_bytes)
+    rows = []
+    for start in range(0, len(cells), chunk):
+        block = cells[start:start + chunk]
+        values, flags = evaluate_metric(s, block, metric, mc,
+                                        np.arange(start, start + len(block)), rcs)
+        rows.extend(zip(block[:, 0].tolist(), block[:, 1].tolist(), values.tolist(), flags))
+    return rows
 
 
 def sweep(s: Scenario, t: TargetState, parameter: str, values, metric: str = "peb",
@@ -447,7 +415,8 @@ def _score_subsets(p: SystemParams, links, rows: np.ndarray, target, metric: str
                 np.take(info, col, axis=0, out=buf, mode="wrap")  # -1: the zero row
                 tot += buf
         if metric == "peb":
-            values[start:start + k] = np.sqrt(bounds._trace_inverse_2x2(tot.T.reshape(2, 2, k)))
+            values[start:start + k] = np.sqrt(
+                bounds._trace_inverse_2x2(tot[:, 0], tot[:, 1], tot[:, 2]))
             continue
         crlb_speed, crlb_heading, singular = bounds._polar_crlbs(
             tot[:, 0], tot[:, 1], tot[:, 2], mc.speed, trig)

@@ -4,6 +4,12 @@ Links local observables (delay, direction of arrival, Doppler shift) to the
 global target position and velocity, for two-way links (co-located Tx/Rx)
 and for separated Tx/Rx pairs. Local DoA is only valid inside the array
 field of view (-pi/2, pi/2); targets behind the array raise OutOfFieldError.
+
+local_doa, bis_observables and jac_bis_position also take an (n, 2) block of
+target positions (a target whose position is one). They then do the same
+arithmetic on (n,) arrays and return, in place of the raise, a status per
+position: OK or the first degeneracy that applies, in the order of the codes
+below. Given one position they compute a block of one and raise on its status.
 """
 from __future__ import annotations
 
@@ -20,11 +26,44 @@ C = SPEED_OF_LIGHT
 # Denominator guard for the ellipse inversion, relative to the bistatic range.
 BASELINE_DEGENERACY_RTOL = 1e-9
 
+# Status of a target position for one link, where the scalar forms raise.
+OK = 0
+COINCIDENT = 1         # on the receiving (or monostatic) node
+OUT_OF_FIELD = 2       # behind the receiving array
+TX_COINCIDENT = 3      # on the transmitter of a separated pair
+BASELINE = 4           # on a separated pair's tx-rx baseline: the ellipse degenerates
+SINGULAR_JACOBIAN = 5  # a separated pair's position Jacobian is not invertible
+
+_ERRORS = {
+    COINCIDENT: (SingularGeometryError, "target coincides with node {node!r}"),
+    OUT_OF_FIELD: (OutOfFieldError, "target behind array of node {node!r} (|doa| >= pi/2)"),
+    TX_COINCIDENT: (SingularGeometryError, "target coincides with the tx node"),
+    BASELINE: (SingularGeometryError, "target on the tx-rx baseline (ellipse degenerates)"),
+    SINGULAR_JACOBIAN: (SingularGeometryError, "position jacobian of the pair is singular"),
+}
+
+
+def raise_status(status, node_id: str = "") -> None:
+    """Raise the scalar forms' error for a status other than OK; node_id
+    names the receiving node."""
+    code = int(status)
+    if code != OK:
+        error, text = _ERRORS[code]
+        raise error(text.format(node=node_id))
+
+
+def positions(p) -> tuple[np.ndarray, bool]:
+    """(an (n, 2) array of the positions, whether p was already a block):
+    one position (x, y) gives a block of one."""
+    xy = np.asarray(p, dtype=float)
+    return xy.reshape(-1, 2), xy.ndim == 2
+
 
 @dataclass(frozen=True)
 class LocalObservables:
     """Observables of one link. The last four fields are populated only for
-    separated Tx/Rx geometry (baseline and ellipse quantities)."""
+    separated Tx/Rx geometry (baseline and ellipse quantities). Fields are
+    (n,) arrays in the block form of bis_observables."""
 
     delay: float          # s
     doa: float            # rad, in the receiver's local frame
@@ -36,23 +75,30 @@ class LocalObservables:
 
 
 def global_to_local(p, node: Node) -> np.ndarray:
-    """Express a global point in the node's local (boresight-aligned) frame."""
-    dx = p[0] - node.position[0]
-    dy = p[1] - node.position[1]
+    """Express a global point in the node's local (boresight-aligned) frame;
+    an (n, 2) block of points gives a (2, n) array."""
+    xy = np.asarray(p, dtype=float)
+    dx = xy[..., 0] - node.position[0]
+    dy = xy[..., 1] - node.position[1]
     c, s = math.cos(node.orientation), math.sin(node.orientation)
     return np.array([dx * c + dy * s, -dx * s + dy * c])
 
 
-def local_doa(node: Node, p) -> tuple[float, float]:
-    """(DoA in the node frame, range). Raises if coincident or out of field."""
-    pn = global_to_local(p, node)
-    r = float(np.hypot(pn[0], pn[1]))
-    if r == 0.0:
-        raise SingularGeometryError(f"target coincides with node {node.id!r}")
-    doa = math.atan2(pn[1], pn[0])
-    if abs(doa) >= math.pi / 2:
-        raise OutOfFieldError(f"target behind array of node {node.id!r} (|doa| >= pi/2)")
-    return doa, r
+def local_doa(node: Node, p):
+    """(DoA in the node frame, range). Raises if coincident or out of field.
+
+    For an (n, 2) block of positions: (doa, range, status) arrays, status
+    COINCIDENT, OUT_OF_FIELD or OK."""
+    xy, block = positions(p)
+    lx, ly = global_to_local(xy, node)
+    r = np.hypot(lx, ly)
+    doa = np.arctan2(ly, lx)
+    status = np.where(r == 0.0, COINCIDENT,
+                      np.where(np.abs(doa) >= math.pi / 2, OUT_OF_FIELD, OK))
+    if block:
+        return doa, r, status
+    raise_status(status[0], node.id)
+    return float(doa[0]), float(r[0])
 
 
 def mono_observables(node: Node, t: TargetState, wavelength: float) -> LocalObservables:
@@ -64,31 +110,34 @@ def mono_observables(node: Node, t: TargetState, wavelength: float) -> LocalObse
     return LocalObservables(delay=2.0 * r / C, doa=doa, doppler=doppler)
 
 
-def bis_observables(tx: Node, rx: Node, t: TargetState, wavelength: float) -> LocalObservables:
+@np.errstate(divide="ignore", invalid="ignore")
+def bis_observables(tx: Node, rx: Node, t: TargetState, wavelength: float):
     """One-way sum delay, Rx-local DoA, two-path Doppler, and the baseline /
-    ellipse quantities of a separated Tx/Rx pair."""
-    px, py = t.position
+    ellipse quantities of a separated Tx/Rx pair.
+
+    For a target whose position is an (n, 2) block: (observables with (n,)
+    array fields, status), status COINCIDENT, OUT_OF_FIELD, TX_COINCIDENT
+    or OK."""
+    xy, block = positions(t.position)
+    px, py = xy[:, 0], xy[:, 1]
     dxt, dyt = px - tx.position[0], py - tx.position[1]
     dxr, dyr = px - rx.position[0], py - rx.position[1]
-    r_tx = math.hypot(dxt, dyt)
-    r_rx = math.hypot(dxr, dyr)
-    if r_tx == 0.0 or r_rx == 0.0:
-        raise SingularGeometryError("target coincides with tx or rx node")
-    doa, _ = local_doa(rx, t.position)
+    r_tx = np.hypot(dxt, dyt)
+    r_rx = np.hypot(dxr, dyr)
+    doa, _, status = local_doa(rx, xy)
+    status = np.where((status == OK) & (r_tx == 0.0), TX_COINCIDENT, status)
     vx, vy = t.velocity
     doppler = (1.0 / wavelength) * ((vx * dxt + vy * dyt) / r_tx + (vx * dxr + vy * dyr) / r_rx)
     baseline = math.hypot(tx.position[0] - rx.position[0], tx.position[1] - rx.position[1])
     beta = math.atan2(tx.position[1] - rx.position[1], tx.position[0] - rx.position[0])
     theta_shift = wrap_angle(rx.orientation - beta)
-    return LocalObservables(
-        delay=(r_tx + r_rx) / C,
-        doa=doa,
-        doppler=doppler,
-        baseline=baseline,
-        bistatic_range=r_tx + r_rx,
-        look_angle=wrap_angle(doa + theta_shift),
-        theta_shift=theta_shift,
-    )
+    fields = dict(delay=(r_tx + r_rx) / C, doa=doa, doppler=doppler,
+                  bistatic_range=r_tx + r_rx, look_angle=wrap_angle(doa + theta_shift))
+    if block:
+        return LocalObservables(baseline=baseline, theta_shift=theta_shift, **fields), status
+    raise_status(status[0], rx.id)
+    return LocalObservables(baseline=baseline, theta_shift=theta_shift,
+                            **{k: float(v[0]) for k, v in fields.items()})
 
 
 def bistatic_range_to_distance(bistatic_range: float, baseline: float, look_angle: float) -> float:
@@ -117,27 +166,35 @@ def jac_mono_position(p_local) -> np.ndarray:
     ])
 
 
-def jac_bis_position(obs: LocalObservables) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore")
+def jac_bis_position(obs: LocalObservables):
     """d(local position)/d(delay, doa) for a separated pair.
 
     Inverse-direction Jacobian: rows are the local coordinates, columns
     (delay, doa). Requires the ellipse quantities of bis_observables.
+    Observables of a block give (a (2, 2, n) stack, status), status
+    BASELINE where the ellipse degenerates, else OK.
     """
     if obs.bistatic_range is None:
         raise SingularGeometryError("observables carry no bistatic geometry")
-    rbar, l = obs.bistatic_range, obs.baseline
-    th, tsh, thl = obs.doa, obs.theta_shift, obs.look_angle
-    guard = rbar - l * math.cos(thl)
-    if guard <= BASELINE_DEGENERACY_RTOL * rbar:
-        raise SingularGeometryError("target on the tx-rx baseline (ellipse degenerates)")
+    block = np.ndim(obs.bistatic_range) == 1
+    rbar, th, thl = (np.reshape(v, -1) for v in (obs.bistatic_range, obs.doa, obs.look_angle))
+    l, tsh = obs.baseline, obs.theta_shift
+    cos_thl = np.cos(thl)
+    guard = rbar - l * cos_thl
+    status = np.where(guard <= BASELINE_DEGENERACY_RTOL * rbar, BASELINE, OK)
     den = 2.0 * guard**2
-    a = l**2 + rbar**2 - 2.0 * l * rbar * math.cos(thl)
-    return np.array([
-        [C * math.cos(th) * a / den,
-         (l**2 - rbar**2) * (rbar * math.sin(th) + l * math.sin(tsh)) / den],
-        [C * math.sin(th) * a / den,
-         (l**2 - rbar**2) * (l * math.cos(tsh) - rbar * math.cos(th)) / den],
+    ca = C * (l**2 + rbar**2 - 2.0 * l * rbar * cos_thl) / den
+    cb = (l**2 - rbar**2) / den
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    jac = np.array([
+        [ca * cos_th, cb * (rbar * sin_th + l * math.sin(tsh))],
+        [ca * sin_th, cb * (l * math.cos(tsh) - rbar * cos_th)],
     ])
+    if block:
+        return jac, status
+    raise_status(status[0])
+    return jac[:, :, 0]
 
 
 def jac_rotation(angle: float) -> np.ndarray:

@@ -57,7 +57,9 @@ class LinkGeometry:
     `range_tx` and `range_rx` coincide for a two-way (co-located) link.
     `pointing_offset` is the beam-steering error (pointed minus true
     departure direction); `dod_local` the true departure direction at the
-    transmit array, used only to evaluate the beamforming gain.
+    transmit array, used only to evaluate the beamforming gain. Ranges and
+    DoA are (n,) arrays for a block of target positions (bounds.link_geometry),
+    which reports degenerate positions in a status instead of raising.
     """
 
     kind: str                   # "monostatic" | "bistatic"
@@ -70,6 +72,8 @@ class LinkGeometry:
     def __post_init__(self):
         if self.kind not in ("monostatic", "bistatic"):
             raise ValueError(f"unknown link kind {self.kind!r}")
+        if np.ndim(self.range_rx):
+            return
         if self.range_tx <= 0.0 or self.range_rx <= 0.0:
             raise SingularGeometryError("link ranges must be positive")
         if abs(self.doa_local) >= math.pi / 2:
@@ -116,7 +120,8 @@ def link_snr(p: SystemParams, g: LinkGeometry, rcs: float, power_scale: float = 
     """Per-receive-antenna SNR of a link via the radar equation.
 
     Returns the SNR before symbol division, the SNR after division (reduced
-    by the constellation penalty), and the echo amplitude. A nonzero
+    by the constellation penalty), and the echo amplitude; (n,) arrays for
+    the geometry of a block of positions. A nonzero
     pointing offset replaces the full beamforming gain with |a^H(dod) a(dod
     + offset)|^2 / N_T.
     """
@@ -132,7 +137,7 @@ def link_snr(p: SystemParams, g: LinkGeometry, rcs: float, power_scale: float = 
         gamma_sq = p_avg * abs(np.vdot(a_true, a_steer)) ** 2 / p.n_tx_ant
     snr = alpha_sq * gamma_sq / fr.noise_var
     eta = p.constellation.penalty
-    return {"snr": snr, "snr_postdiv": snr / eta, "alpha": math.sqrt(alpha_sq)}
+    return {"snr": snr, "snr_postdiv": snr / eta, "alpha": np.sqrt(alpha_sq)}
 
 
 def fim_single_link(p: SystemParams, g: LinkGeometry, rcs: float,
@@ -164,10 +169,26 @@ def fim_single_link(p: SystemParams, g: LinkGeometry, rcs: float,
     return FisherMatrix(labels=PARAM_LABELS, values=pref * f)
 
 
+def efim_diagonal(p: SystemParams, snr, doa):
+    """Diagonal (doppler, delay, doa) of a link's local effective Fisher
+    matrix, which the Schur complement leaves exactly diagonal; elementwise
+    for arrays of SNR and DoA."""
+    fr = p.frame
+    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
+    pref = snr * nr * k * m / p.constellation.penalty
+    pi = math.pi
+    return (
+        pref * 2.0 * pi**2 * p.symbol_duration**2 * (m**2 - 1) / 3.0,
+        pref * 2.0 * pi**2 * p.subcarrier_spacing**2 * (k**2 - 1) / 3.0,
+        pref * pi**2 * (nr**2 - 1) * np.cos(doa) ** 2 / 6.0,
+    )
+
+
 def scalar_crlbs(p: SystemParams, g: LinkGeometry, rcs: float,
                  power_scale: float = 1.0) -> dict:
     """Closed-form variance bounds for each link parameter.
 
+    The Doppler, delay and DoA bounds are the reciprocals of efim_diagonal.
     Also returns the range bound (c/2)^2 * crlb_tau of a two-way link and
     the sum-range bound of a separated pair, which is four times larger.
     """
@@ -175,21 +196,18 @@ def scalar_crlbs(p: SystemParams, g: LinkGeometry, rcs: float,
     if p.n_rx_ant < 2:
         raise InsufficientResourcesError("need at least 2 receive antennas")
     k, m = fr.k_subcarriers, fr.m_symbols
-    ts, df = p.symbol_duration, p.subcarrier_spacing
-    nr = p.n_rx_ant
     s = link_snr(p, g, rcs, power_scale)
-    eta = p.constellation.penalty
-    pi = math.pi
-    base = eta / (k * m * nr * s["snr"])
-    crlb_tau = 3.0 * base / (2.0 * pi**2 * df**2 * (k**2 - 1))
+    base = p.constellation.penalty / (k * m * p.n_rx_ant * s["snr"])
+    d_fd, d_tau, d_theta = efim_diagonal(p, s["snr"], g.doa_local)
+    crlb_tau = 1.0 / d_tau
     crlb_range = (C / 2.0) ** 2 * crlb_tau
     return {
         "crlb_alpha": s["alpha"] ** 2 * base / 2.0,
         "crlb_phi": (7.0 * k * m + k + m - 5.0) * base * k * m
                     / (2.0 * (k**2 + k) * (m**2 + m)),
-        "crlb_fd": 3.0 * base / (2.0 * pi**2 * ts**2 * (m**2 - 1)),
+        "crlb_fd": 1.0 / d_fd,
         "crlb_tau": crlb_tau,
-        "crlb_theta": 6.0 * base / (pi**2 * (nr**2 - 1) * math.cos(g.doa_local) ** 2),
+        "crlb_theta": 1.0 / d_theta,
         "crlb_range": crlb_range,
         "crlb_bistatic_range": 4.0 * crlb_range,
     }

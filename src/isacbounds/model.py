@@ -22,9 +22,11 @@ from .errors import (
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(angle):
+    """Wrap an angle, or each of an array of angles, to (-pi, pi]."""
     w = (angle + math.pi) % (2.0 * math.pi) - math.pi
+    if np.ndim(w):
+        return np.where(w == -math.pi, math.pi, w)
     return math.pi if w == -math.pi else w
 
 
@@ -202,6 +204,9 @@ class Node:
             raise ScenarioFormatError(f"node {self.id!r}: rx role requires tx_id")
         if self.role != "rx" and self.tx_id is not None:
             raise ScenarioFormatError(f"node {self.id!r}: tx_id only valid for rx role")
+        if not all(map(math.isfinite, (*self.position, self.orientation, self.power_scale))):
+            raise ScenarioFormatError(
+                f"node {self.id!r}: position, orientation and power_scale must be finite")
         if self.power_scale <= 0.0:
             raise ScenarioFormatError(f"node {self.id!r}: power_scale must be positive")
         object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
@@ -212,7 +217,10 @@ class Node:
 class TargetState:
     """Point target: global position (m), velocity (m/s), radar cross-section
     (m^2) and nuisance phase (rad). The echo amplitude is derived per link
-    from the radar equation and is never user-specified."""
+    from the radar equation and is never user-specified.
+
+    The position may also be an (n, 2) array: a block of n positions that
+    share the velocity and rcs, which the bounds evaluate at once."""
 
     position: tuple[float, float]
     velocity: tuple[float, float] = (0.0, 0.0)
@@ -222,7 +230,11 @@ class TargetState:
     def __post_init__(self):
         if self.rcs <= 0.0:
             raise ScenarioFormatError("target rcs must be positive")
-        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
+        if np.ndim(self.position) == 2:
+            object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        else:
+            object.__setattr__(self, "position",
+                               (float(self.position[0]), float(self.position[1])))
         object.__setattr__(self, "velocity", (float(self.velocity[0]), float(self.velocity[1])))
 
     @property

@@ -143,8 +143,8 @@ def test_07_constellation_penalties():
 def test_08_coverage_map_reproduction(mono4, multistatic3):
     grid = GridSpec(0.0, 84.0, 0.0, 84.0, 1.0)
     t0 = time.monotonic()
-    mono_rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1), workers=1)
-    multi_rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1), workers=1)
+    mono_rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
+    multi_rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1))
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
 
@@ -226,9 +226,16 @@ def test_10_velocity_approximation_and_selection(mono4, ring8):
                "selections reproducible")
 
 
-def test_11_heatmap_determinism_across_workers(mono4):
-    grid = GridSpec(6.0, 78.0, 6.0, 78.0, 12.0)
+def test_11_heatmap_determinism_across_chunk_sizes(mono4, monkeypatch):
+    grid = GridSpec(6.0, 78.0, 6.0, 78.0, 4.0)
     mc = McConfig(draws=16, seed=7, speed=22.0)
-    outputs = [engine.heatmap(mono4, grid, "veb", mc, workers=w) for w in (1, 4, 8)]
-    assert outputs[0] == outputs[1] == outputs[2]
-    report(11, f"{len(outputs[0])} cells bit-identical with 1, 4, and 8 workers")
+    cell_bytes = 8 * mc.draws  # one cell's float64 draws
+    sizes = (cell_bytes, 7 * cell_bytes, engine._CHUNK_BYTES, 1000 * cell_bytes)
+    outputs = []
+    for chunk_bytes in sizes:
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+        outputs.append(engine.heatmap(mono4, grid, "veb", mc))
+    assert len(outputs[0]) == 19 * 19 < 1000
+    assert all(out == outputs[0] for out in outputs[1:])
+    report(11, f"{len(outputs[0])} cells bit-identical with 1, 7, "
+               f"{sizes[2] // cell_bytes} and all cells per chunk")

@@ -198,7 +198,8 @@ class TestNetworkPositionEfim:
                 continue
             snr = link_snr(params, LinkGeometry.monostatic(r, doa), 1.0)["snr"]
             p_local = geom.global_to_local(t.position, node)
-            element = _mono_local_position_info(params, snr, p_local, doa)
+            xx, xy, yy = _mono_local_position_info(params, snr, p_local, doa)
+            element = np.array([[xx, xy], [xy, yy]])
             e = efim_delay_angle(params, LinkGeometry.monostatic(r, doa), 1.0).values
             j = geom.jac_mono_position(p_local)
             np.testing.assert_allclose(element, j.T @ e @ j, rtol=1e-10)
@@ -491,9 +492,6 @@ class TestBoundReport:
         assert by_id["rx2"]["velocity_info"] is None
         assert by_id["rx1"]["position_info"] is not None
 
-    @pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True,
-                       reason="a target a hair's breadth off an rx passes the exact "
-                              "coincidence check; the pair's position Jacobian is singular")
     def test_target_a_hair_off_an_rx_is_scored(self):
         facing = -math.pi / 2  # both arrays look down at the target
         s = Scenario(params=SystemParams(), nodes=(

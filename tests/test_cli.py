@@ -256,12 +256,10 @@ class TestNonFiniteArguments:
                     "--velocity", "inf,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
-
-class TestWorkerEnvironment:
-    def test_non_integer_thread_count_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("ISAC_BOUNDS_THREADS", "abc")
-        assert run(["heatmap", "--scenario", MONO4, "--grid", "30:31:1,30:31:1"]) == 2
-        assert "ISAC_BOUNDS_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("grid", ["0:inf:1,0:84:1", "0:nan:1,0:nan:1"])
+    def test_heatmap_grid(self, grid, capsys):
+        assert run(["heatmap", "--scenario", MONO4, "--grid", grid]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestLargeSelection:

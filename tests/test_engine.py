@@ -50,6 +50,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError):
             engine.load_scenario("{nodes: [")
 
+    @pytest.mark.parametrize("node", ['"position": [NaN, 0]', '"position": [0, Infinity]',
+                                      '"position": [0, 0], "orientation_deg": NaN',
+                                      '"position": [0, 0], "power_scale": NaN'])
+    def test_non_finite_node_value_rejected(self, node):
+        with pytest.raises(ScenarioFormatError, match="finite"):
+            engine.load_scenario('{"nodes": [{"id": "a", %s}]}' % node)
+
     def test_round_trip(self, multistatic3, ring8):
         for s in (multistatic3, ring8):
             assert engine.load_scenario(engine.dump_scenario(s)) == s
@@ -149,14 +156,14 @@ class TestHeatmap:
     def test_mirror_symmetry(self, mono4):
         # the four-node layout is symmetric under swapping x and y
         grid = GridSpec(10.0, 70.0, 10.0, 70.0, 20.0)
-        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1), workers=1)
+        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
         values = {(x, y): v for x, y, v, _ in rows}
         for (x, y), v in values.items():
             assert v == pytest.approx(values[(y, x)], rel=1e-9)
 
     def test_peb_cells_match_standalone(self, mono4):
         grid = GridSpec(20.0, 60.0, 20.0, 60.0, 20.0)
-        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1), workers=1)
+        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
         s = engine.normalize_power(mono4)
         for x, y, v, _ in rows:
             assert v == pytest.approx(
@@ -164,23 +171,8 @@ class TestHeatmap:
 
     def test_baseline_cells_flagged(self, multistatic3):
         grid = GridSpec(42.0, 42.0001, 10.0, 70.0, 20.0)
-        rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1), workers=1)
+        rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1))
         assert all("baseline" in flag for _, _, _, flag in rows)
-
-    def test_worker_determinism(self, mono4):
-        grid = GridSpec(10.0, 70.0, 10.0, 70.0, 15.0)
-        mc = McConfig(draws=8, seed=7, speed=22.0)
-        serial = engine.heatmap(mono4, grid, "veb", mc, workers=1)
-        parallel = engine.heatmap(mono4, grid, "veb", mc, workers=2)
-        assert serial == parallel
-
-    def test_workers_env_resolution(self, monkeypatch):
-        monkeypatch.delenv(engine.WORKERS_ENV, raising=False)
-        assert engine.resolve_workers(None) == 1
-        monkeypatch.setenv(engine.WORKERS_ENV, "3")
-        assert engine.resolve_workers(None) == 3
-        monkeypatch.setenv(engine.WORKERS_ENV, "0")
-        assert engine.resolve_workers(None) >= 1
 
 
 class TestSweep:

@@ -161,7 +161,7 @@ def mixed_networks(draw):
     ids = draw(st.permutations(string.ascii_lowercase[:8]))[:n]
     roles = draw(st.lists(st.sampled_from(("monostatic", "tx", "rx")), min_size=n, max_size=n))
     txs = [i for i, r in zip(ids, roles) if r == "tx"]
-    coord = st.integers(0, 84).map(float)
+    coord = st.floats(0.0, 84.0)
     nodes = []
     for node_id, role in zip(ids, roles):
         tx_id = None
@@ -182,9 +182,8 @@ def mixed_networks(draw):
 @settings(max_examples=60, deadline=None)
 @given(s=mixed_networks(), data=st.data())
 def test_random_mixed_networks_match_per_subset_route(s, data):
-    # half-metre points: on nodes and their baselines now and then, never a
-    # hair's breadth off a node, where a separated pair's Jacobian is
-    # singular (see test_bounds.py, test_target_a_hair_off_an_rx_is_scored)
+    # half-metre points: on nodes and their baselines now and then, and a
+    # hair's breadth off a node when a node coordinate is subnormal
     half_metres = st.integers(-20, 188).map(lambda v: v / 2.0)
     target = (data.draw(half_metres), data.draw(half_metres))
     metric = data.draw(st.sampled_from(METRICS))
