@@ -15,6 +15,13 @@ position instead of aborting, so that coverage maps can render degenerate
 regions. The position information, the rank-one velocity piece and the 4x4
 state information of a link are all computed from its constants.
 
+The rank-one velocity piece kn * w w^T is computed in two halves: the
+factors that do not depend on the velocity, per position
+(_velocity_terms; for all links of a scenario, velocity_table), and kn and
+the three entries per velocity draw (_velocity_draws). Every velocity bound
+uses both, so a Monte-Carlo heading average pays the per-position half
+once per position, whatever the number of draws.
+
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
 that no link informs gets +inf and the flag NO_INFORMATION; one point
@@ -210,6 +217,8 @@ def _scalar_constants(link: SensingLink, t: TargetState, p: SystemParams) -> Lin
 def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single co-located Tx/Rx node."""
     lc = _scalar_constants(SensingLink(node.id, node, node, "monostatic", node.power_scale), t, p)
+    if p.n_rx_ant == 1:  # no DoA information: the link alone fixes no position
+        return math.inf
     snr, r, doa = lc.snr[0], lc.geometry.range_rx[0], lc.geometry.doa_local[0]
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
@@ -224,7 +233,7 @@ def peb_mono_closed(p: SystemParams, node: Node, t: TargetState) -> float:
 def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float:
     """Closed-form position error bound of a single separated Tx/Rx pair."""
     lc = _scalar_constants(SensingLink(rx.id, tx, rx, "bistatic", tx.power_scale), t, p)
-    if lc.status[0] == geom.BASELINE:
+    if lc.status[0] == geom.BASELINE or p.n_rx_ant == 1:  # (as peb_mono_closed)
         return math.inf
     obs, snr = lc.obs, lc.snr[0]
     rbar, l, thl = obs.bistatic_range[0], obs.baseline, obs.look_angle[0]
@@ -295,12 +304,21 @@ def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants, t: Tar
     return _rotate(local, link.rx.orientation)
 
 
+# Rows of a link's velocity terms (see _velocity_terms), in order. A
+# monostatic link fills the first seven; a separated pair fills them all.
+VELOCITY_TERMS = ("num", "den0", "dxn", "dyn", "wxx", "wxy", "wyy",
+                  "a_n", "a_t", "u2_q", "dxt", "dyt")
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _velocity_info(p: SystemParams, link: SensingLink, lc: LinkConstants, vx, vy):
-    """Rank-one velocity information kn * w w^T of one link, global frame,
-    as (xx, xy, yy). The n positions' constants enter as (n, 1) columns, so
-    velocity components of shape (n, D), D headings per position, give
-    (n, D) entries and scalar ones (n, 1)."""
+def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
+                    used: np.ndarray | None = None) -> np.ndarray:
+    """Per-position half of the rank-one velocity information kn * w w^T of
+    one link: every factor that does not depend on the velocity, as the
+    VELOCITY_TERMS rows of an (12, n, 1) array over the n positions. Where
+    used is False the terms are those of a link with no information
+    (num = 0, den0 = 1, the rest 0), so _velocity_draws gives exact zeros
+    there at any velocity."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
@@ -309,45 +327,73 @@ def _velocity_info(p: SystemParams, link: SensingLink, lc: LinkConstants, vx, vy
     cos2 = np.cos(lc.geometry.doa_local)[:, None] ** 2
     r_tx, r_rx = lc.geometry.range_tx[:, None], lc.geometry.range_rx[:, None]
     dxn, dyn = lc.d_rx[0][:, None], lc.d_rx[1][:, None]
+    terms = np.zeros((len(VELOCITY_TERMS),) + snr.shape)
     if link.kind == "monostatic":
         # kn = num / (eta * (48 ts^2 (M^2 - 1) cross^2 + 3 (N_R^2 - 1) r^2 lam^2 cos^2))
-        cross = dxn * vy - dyn * vx
         num = (8.0 * math.pi**2 * nr * k * m * ts**2 * (m**2 - 1) * (nr**2 - 1)) * snr * cos2
-        kn = num / ((eta * 48.0 * ts**2 * (m**2 - 1)) * cross**2
-                    + (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2)
-        w0, w1 = dxn, dyn
+        den0 = (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2
+        terms[:7] = num, den0, dxn, dyn, dxn * dxn, dxn * dyn, dyn * dyn
     else:
         dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
         dot_tn = dxn * dxt + dyn * dyt
         ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
-        q_n = vy * dxn - vx * dyn
-        q_t = vy * dxt - vx * dyt
-        # u1 = r_tx^3 ell q_n + r_rx^3 (r_tx dot_tn + r_rx r_t^2) q_t,
+        # u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (r_tx dot_tn + r_rx r_t^2);
         # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
-        u1 = r_tx**3 * ell * q_n + r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt)) * q_t
         g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
         u2_q = g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2
         u2_0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
         a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
                   * nr * (nr**2 - 1) / eta)
         num = a_coef * snr * r_tx**4 * cos2 * ell**2
-        kn = num / ((12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1)) * u1**2
-                    + u2_q * q_t**2 + u2_0)
         w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
-    return kn * (w0 * w0), kn * (w0 * w1), kn * (w1 * w1)
+        terms[:] = (num, u2_0, dxn, dyn, w0 * w0, w0 * w1, w1 * w1,
+                    r_tx**3 * ell, r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt)),
+                    u2_q, dxt, dyt)
+    if used is not None and not used.all():
+        terms[:, ~used] = 0.0
+        terms[1, ~used] = 1.0
+    return terms
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _velocity_draws(p: SystemParams, kind: str, terms, vx, vy):
+    """Per-draw half: the (xx, xy, yy) entries of kn * w w^T, global frame,
+    from a link's _velocity_terms (rows of (n, 1) columns) and velocity
+    components broadcasting against them: (n, D) for D headings per
+    position give (n, D) entries, scalars (n, 1)."""
+    fr = p.frame
+    k, m = fr.k_subcarriers, fr.m_symbols
+    ts, df = p.symbol_duration, p.subcarrier_spacing
+    eta = p.constellation.penalty
+    num, den0, dxn, dyn, wxx, wxy, wyy, a_n, a_t, u2_q, dxt, dyt = terms
+    # written as one expression each, so that no (n, D) temporary outlives
+    # its use
+    if kind == "monostatic":
+        # kn = num / (c cross^2 + den0), cross = dxn vy - dyn vx
+        kn = num / ((eta * 48.0 * ts**2 * (m**2 - 1)) * (dxn * vy - dyn * vx) ** 2 + den0)
+    else:
+        # kn = num / (c u1^2 + u2_q q_t^2 + den0), u1 = a_n q_n + a_t q_t,
+        # q_n = vy dxn - vx dyn, q_t = vy dxt - vx dyt
+        q_t = vy * dxt - vx * dyt
+        kn = num / ((12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
+                    * (a_n * (vy * dxn - vx * dyn) + a_t * q_t) ** 2
+                    + u2_q * q_t**2 + den0)
+    return kn * wxx, kn * wxy, kn * wyy
 
 
 def _used(info, used: np.ndarray):
     """The information entries where the link is used, zero elsewhere."""
     if used.all():
         return info
-    mask = used.reshape(used.shape + (1,) * (np.ndim(info[0]) - 1))
-    return tuple(np.where(mask, v, 0.0) for v in info)
+    return tuple(np.where(used, v, 0.0) for v in info)
 
 
-def _one_velocity(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState):
-    """_velocity_info at the target's own velocity, as (n,) entries."""
-    return tuple(v[:, 0] for v in _velocity_info(p, link, lc, *t.velocity))
+def _one_velocity(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState,
+                  used: np.ndarray | None = None):
+    """Velocity information at the target's own velocity, as (n,) entries;
+    zero where used is False."""
+    info = _velocity_draws(p, link.kind, _velocity_terms(p, link, lc, used), *t.velocity)
+    return tuple(v[:, 0] for v in info)
 
 
 def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
@@ -392,7 +438,8 @@ def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -
         if vx is None:
             row[:] = [v[0] for v in _position_info(p, link, lc, t)]
         else:
-            row[:] = [v[0] for v in _velocity_info(p, link, lc, vx, vy)]
+            row[:] = [v[0] for v in _velocity_draws(p, link.kind, _velocity_terms(p, link, lc),
+                                                    vx, vy)]
     return info
 
 
@@ -445,7 +492,7 @@ def _network_sums(s: Scenario, t: TargetState):
             for total, v in zip(pos_total, info):
                 total += v
             if moving:
-                entry["velocity_info"] = info = _used(_one_velocity(s.params, link, lc, t), used)
+                entry["velocity_info"] = info = _one_velocity(s.params, link, lc, t, used)
                 for total, v in zip(vel_total, info):
                     total += v
         per_node.append(entry)
@@ -582,35 +629,76 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     )
 
 
+@dataclass(frozen=True)
+class VelocityTable:
+    """Per-position half of the velocity information of a scenario at n
+    positions: each sensing link's kind, its used mask and _velocity_terms
+    (an (L, 12, n, 1) array, zero information where the link is unused),
+    and the positions' flags (see _link_table). table[a:b] is the table of
+    positions a to b; heading_velocity_metrics takes it as the position."""
+
+    kinds: tuple[str, ...]
+    used: np.ndarray   # (L, n)
+    terms: np.ndarray  # (L, 12, n, 1)
+    flags: list
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __getitem__(self, rows: slice) -> "VelocityTable":
+        return VelocityTable(self.kinds, self.used[:, rows], self.terms[:, :, rows],
+                             self.flags[rows])
+
+
+def velocity_table(s: Scenario, position, rcs: float = 1.0) -> VelocityTable:
+    """The VelocityTable of a scenario at an (n, 2) block of positions, or
+    at one position (a block of one), where no link informing it raises
+    NoInformationError."""
+    table, flags, _ = _link_table(s, TargetState(position=position, rcs=rcs))
+    return VelocityTable(tuple(link.kind for link, _, _ in table),
+                         np.array([used for _, _, used in table]),
+                         np.array([_velocity_terms(s.params, link, lc, used)
+                                   for link, lc, used in table]), flags)
+
+
+def _velocity_sums(p: SystemParams, table: VelocityTable, vx, vy):
+    """(xx, xy, yy) of the velocity information summed over the links of a
+    table, added in link order from zero, at (n, D) velocity components."""
+    total = [np.zeros((len(table), vx.shape[1])) for _ in range(3)]
+    for kind, used, terms in zip(table.kinds, table.used, table.terms):
+        if used.any():
+            for tot, v in zip(total, _velocity_draws(p, kind, terms, vx, vy)):
+                tot += v
+    return total
+
+
 @np.errstate(invalid="ignore")
 def heading_velocity_metrics(s: Scenario, position, speed: float,
                              headings: np.ndarray, rcs: float = 1.0) -> dict:
     """Velocity bound and heading CRLB over an array of headings.
 
-    Vectorized over headings for Monte-Carlo averaging: the link constants
-    are computed once, only the velocity-dependent coefficient varies.
+    Vectorized over headings for Monte-Carlo averaging: the per-position
+    half of each link's information (velocity_table) is computed once, and
+    only the velocity-dependent coefficient is evaluated per heading.
     Singular headings are reported in the mask; callers decide how to
-    aggregate. For an (n, 2) block of positions, headings is (n, D) (or
-    (D,), shared), the results are (n, D) arrays and flags a list of n
-    tuples; a position that no link informs is singular throughout and
-    gets the one flag NO_INFORMATION, where one position raises
-    NoInformationError.
+    aggregate. For an (n, 2) block of positions, or a VelocityTable of n
+    positions (whose rcs it was built with; rcs is then not read), headings
+    is (n, D) (or (D,), shared), the results are (n, D) arrays and flags a
+    list of n tuples; a position that no link informs is singular
+    throughout and gets the one flag NO_INFORMATION, where one position
+    raises NoInformationError.
     """
     if speed <= 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    t = TargetState(position=position, rcs=rcs)
-    table, flags, _ = _link_table(s, t)
-    t = _block(t)
+    if isinstance(position, VelocityTable):
+        table, block = position, True
+    else:
+        table, block = velocity_table(s, position, rcs), np.ndim(position) == 2
     trig = _heading_trig(np.atleast_2d(np.asarray(headings, dtype=float)))
-    vx, vy = speed * trig[0], speed * trig[1]
-    total = [np.zeros((len(t.position), vx.shape[1])) for _ in range(3)]
-    for link, lc, used in table:
-        if used.any():
-            for tot, v in zip(total, _used(_velocity_info(s.params, link, lc, vx, vy), used)):
-                tot += v
+    total = _velocity_sums(s.params, table, speed * trig[0], speed * trig[1])
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, speed, trig)
     res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
-           "singular": singular, "flags": flags}
-    if np.ndim(position) == 2:
+           "singular": singular, "flags": table.flags}
+    if block:
         return res
     return {key: value[0] for key, value in res.items()}

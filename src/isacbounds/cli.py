@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 I/O failure,
-4 computation infeasible (no information or no feasible subset).
+Exit codes: 0 success, 1 a validation check failed (validate), 2 usage or
+malformed input, 3 I/O failure, 4 computation infeasible (no information or
+no feasible subset).
 """
 from __future__ import annotations
 

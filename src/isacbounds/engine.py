@@ -1,16 +1,24 @@
 """Scenario ingestion, power normalization, coverage maps, parameter sweeps,
 and exhaustive node/transmitter selection.
 
-Maps are evaluated in one process, chunk by chunk, through the block form of
-evaluate_metric: a chunk's cells go through every per-link layer as arrays,
+Maps are evaluated in one process, block by block, through the block form of
+evaluate_metric: a block's cells go through every per-link layer as arrays,
 each link's information is added in link order from zero, and the sums are
 inverted as a stack; a cell gets exactly the value and flags of
-evaluate_metric at its own position. A chunk holds as many cells as keep its
-largest array (cells x heading draws, or the cells' 2x2 position
-information) within _CHUNK_BYTES. Monte-Carlo heading
-draws use one counter-based substream per grid cell (seeded by the cell
-index), so results are bit-identical for a given seed whatever the chunk
-size.
+evaluate_metric at its own position. A PEB block holds as many cells as keep
+their 2x2 position information within _CHUNK_BYTES (1,024). A velocity block
+holds as many cells as keep its per-position table (bounds.velocity_table:
+12 float64 terms per link and cell) within _CHUNK_BYTES, in whole slices:
+84 cells of a 4-link scenario. Its cells are walked in slices that keep the
+per-draw arrays (cells x heading draws) within _CHUNK_BYTES, 4 cells at
+1,000 draws, and each slice is reduced to its per-cell mean and singular
+draw count before the next is drawn. Monte-Carlo heading draws use one
+counter-based substream per grid cell (seeded by the cell index), so results
+are bit-identical for a given seed whatever the block and slice sizes.
+Building the per-position table once per block rather than once per 4-cell
+slice took a benchmark VEB map job (43 x 43 cells at 1,000 draws, through
+the CLI) from 0.562 s to 0.327 s (perfbench map_veb, medians of 10
+alternating pairs on a 2-CPU VM).
 
 Selection scores every subset from per-link information computed once.
 Information from independent links adds, so a subset's summed information
@@ -58,9 +66,10 @@ SWEEP_PARAMETERS = ("frac_subcarriers", "frac_symbols", "n_rx_ant")
 
 # Bytes of the largest array a chunk works on. The subset scorer's chunk
 # holds this much summed information: 1,365 subsets' position sums, or one
-# subset's velocity sums over 1,000 heading draws. A map chunk holds as many
+# subset's velocity sums over 1,000 heading draws. A map block holds as many
 # cells as keep their largest array this small: 1,024 PEB cells (a 2x2
-# float64 information matrix each), or 4 cells at 1,000 draws. Larger chunks
+# float64 information matrix each), or the velocity table of 84 cells of a
+# 4-link scenario, walked in slices of 4 cells at 1,000 draws. Larger chunks
 # run no faster but raise peak memory: 4,096-cell PEB chunks read ~2 MB more
 # peak RSS, and at 64 KB the ring workload's peak RSS rose ~0.4 MB.
 _CHUNK_BYTES = 32 * 1024
@@ -104,8 +113,8 @@ class McConfig:
     def __post_init__(self):
         if self.draws < 1:
             raise ScenarioFormatError("mc draws must be >= 1")
-        if self.speed <= 0.0:
-            raise ScenarioFormatError("mc speed must be positive")
+        if not 0.0 < self.speed < math.inf:  # NaN included
+            raise ScenarioFormatError("mc speed must be positive and finite")
 
     def headings(self, cell_index: int = 0) -> np.ndarray:
         """Uniform headings in [0, 2pi) from the cell's own substream."""
@@ -301,7 +310,9 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
     cell's substream at the fixed speed of the Monte-Carlo config; any
     singular draw makes the value +inf. Returns (value, flag). For an
     (n, 2) block of positions with n cell indices, returns an (n,) array of
-    values and a list of n flags, each cell's the same as on its own."""
+    values and a list of n flags, each cell's the same as on its own; a
+    velocity metric computes the block's per-position table once and draws
+    the headings slice by slice (see the module docstring)."""
     if metric not in METRICS:
         raise ScenarioFormatError(f"unknown metric {metric!r}")
     xy = np.reshape(np.asarray(position, dtype=float), (-1, 2))
@@ -309,12 +320,15 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
         report = bounds.evaluate_bounds(s, TargetState(position=xy, rcs=rcs))
         values, flags = report.peb, report.flags
     else:
-        headings = np.array([mc.headings(i) for i in np.reshape(cell_index, -1).tolist()])
-        res = bounds.heading_velocity_metrics(s, xy, mc.speed, headings, rcs=rcs)
-        draws = res["veb"] if metric == "veb" else res["crlb_heading"]
-        n_bad = res["singular"].sum(axis=1)
-        values = np.where(n_bad > 0, math.inf, draws.mean(axis=1))
-        flags = res["flags"]
+        table = bounds.velocity_table(s, xy, rcs)
+        flags = table.flags
+        cells = np.reshape(cell_index, -1).tolist()
+        step = _slice_cells(mc)
+        means, n_bad = np.empty(len(xy)), np.empty(len(xy), dtype=int)
+        for a in range(0, len(xy), step):
+            means[a:a + step], n_bad[a:a + step] = _draw_means(
+                s, table[a:a + step], metric, mc, cells[a:a + step])
+        values = np.where(n_bad > 0, math.inf, means)
         for i in np.flatnonzero(n_bad).tolist():
             if flags[i] != (bounds.NO_INFORMATION,):
                 flags[i] += (f"singular-draws={n_bad[i]}/{mc.draws}",)
@@ -324,20 +338,40 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
     return float(values[0]), flags[0]
 
 
+def _slice_cells(mc: McConfig) -> int:
+    """Cells whose heading draws (a float64 per cell and draw) keep within
+    _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * mc.draws))
+
+
+def _draw_means(s: Scenario, table: bounds.VelocityTable, metric: str, mc: McConfig,
+                cells):
+    """(mean over the heading draws, singular draw count) of a velocity
+    metric at the positions of a table slice, (n,) arrays each; the
+    slice's per-draw arrays are freed on return."""
+    headings = np.array([mc.headings(i) for i in cells])
+    res = bounds.heading_velocity_metrics(s, table, mc.speed, headings)
+    draws = res["veb"] if metric == "veb" else res["crlb_heading"]
+    return draws.mean(axis=1), res["singular"].sum(axis=1)
+
+
 def heatmap(s: Scenario, grid: GridSpec, metric: str = "peb",
             mc: McConfig | None = None, rcs: float = 1.0) -> list[tuple]:
     """Evaluate a metric on every grid point.
 
     Returns rows (x, y, value, flag) in row-major y-then-x order. Cells are
-    evaluated in chunks through the block form of evaluate_metric; output
-    is bit-identical for a given Monte-Carlo seed whatever the chunk size.
+    evaluated in blocks through the block form of evaluate_metric; output
+    is bit-identical for a given Monte-Carlo seed whatever the block size.
     """
     mc = mc or McConfig()
     s = normalize_power(s)
     cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
-    # float64 bytes per cell: a 2x2 matrix, or one value per heading draw
-    cell_bytes = 8 * (4 if metric == "peb" else mc.draws)
+    # float64 bytes per cell: a 2x2 matrix, or the velocity terms of every link
+    n_links = sum(n.role in ("monostatic", "rx") for n in s.nodes)
+    cell_bytes = 8 * (4 if metric == "peb" else len(bounds.VELOCITY_TERMS) * n_links)
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
+    if metric != "peb" and chunk > _slice_cells(mc):  # whole slices of draws
+        chunk -= chunk % _slice_cells(mc)
     rows = []
     for start in range(0, len(cells), chunk):
         block = cells[start:start + chunk]

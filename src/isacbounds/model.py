@@ -117,8 +117,8 @@ class SystemParams:
                 raise ScenarioFormatError(f"{name} must be >= 1")
         for name in ("carrier_freq", "subcarrier_spacing", "symbol_duration",
                      "total_power", "noise_psd", "tx_gain", "rx_gain"):
-            if getattr(self, name) <= 0.0:
-                raise ScenarioFormatError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN included
+                raise ScenarioFormatError(f"{name} must be positive and finite")
         for name in ("frac_subcarriers", "frac_symbols"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -228,8 +228,10 @@ class TargetState:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.rcs <= 0.0:
-            raise ScenarioFormatError("target rcs must be positive")
+        if not 0.0 < self.rcs < math.inf:  # NaN included
+            raise ScenarioFormatError("target rcs must be positive and finite")
+        if not all(map(math.isfinite, self.velocity)):
+            raise ScenarioFormatError("target velocity must be finite")
         if np.ndim(self.position) == 2:
             object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         else:

@@ -7,6 +7,7 @@ loosening them is a release decision, not a test fix.
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,14 +229,22 @@ def test_10_velocity_approximation_and_selection(mono4, ring8):
 
 def test_11_heatmap_determinism_across_chunk_sizes(mono4, monkeypatch):
     grid = GridSpec(6.0, 78.0, 6.0, 78.0, 4.0)
-    mc = McConfig(draws=16, seed=7, speed=22.0)
+    mc = McConfig(draws=100, seed=7, speed=22.0)
     cell_bytes = 8 * mc.draws  # one cell's float64 draws
     sizes = (cell_bytes, 7 * cell_bytes, engine._CHUNK_BYTES, 1000 * cell_bytes)
-    outputs = []
-    for chunk_bytes in sizes:
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
-        outputs.append(engine.heatmap(mono4, grid, "veb", mc))
+    outputs, shapes = [], []
+    with mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
+            mock.patch.object(bounds, "heading_velocity_metrics",
+                              wraps=bounds.heading_velocity_metrics) as kernel:
+        for chunk_bytes in sizes:
+            monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+            table.reset_mock()
+            kernel.reset_mock()
+            outputs.append(engine.heatmap(mono4, grid, "veb", mc))
+            shapes.append((max(len(c.args[1]) for c in table.call_args_list),
+                           max(len(c.args[1]) for c in kernel.call_args_list)))
     assert len(outputs[0]) == 19 * 19 < 1000
     assert all(out == outputs[0] for out in outputs[1:])
-    report(11, f"{len(outputs[0])} cells bit-identical with 1, 7, "
-               f"{sizes[2] // cell_bytes} and all cells per chunk")
+    # each size changes both the per-position block and the slice of draws
+    assert len({b for b, _ in shapes}) == len({d for _, d in shapes}) == len(sizes)
+    report(11, f"{len(outputs[0])} cells bit-identical with (block, slice) sizes {shapes}")

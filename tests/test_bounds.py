@@ -158,6 +158,33 @@ class TestPebBisClosed:
             done += 1
 
 
+class TestSingleRxAntenna:
+    """One rx antenna measures no DoA: the closed forms return +inf without
+    a numpy warning, as the network bound of the same single link does."""
+
+    def test_monostatic(self, params, recwarn):
+        p = replace(params, n_rx_ant=1)
+        node = mono_node((0.0, 0.0), 0.0)
+        t = TargetState(position=(30.0, 10.0))
+        assert bounds.peb_mono_closed(p, node, t) == math.inf
+        assert bounds.network_peb(Scenario(params=p, nodes=(node,)), t) == math.inf
+        assert not recwarn.list
+
+    def test_bistatic(self, params, recwarn):
+        p = replace(params, n_rx_ant=1)
+        tx = Node(id="t", position=(0.0, 0.0), role="tx")
+        rx = Node(id="r", position=(40.0, 0.0), orientation=math.pi / 2, role="rx", tx_id="t")
+        t = TargetState(position=(20.0, 30.0))
+        assert bounds.peb_bis_closed(p, tx, rx, t) == math.inf
+        assert bounds.network_peb(Scenario(params=p, nodes=(tx, rx)), t) == math.inf
+        assert not recwarn.list
+
+    def test_geometry_errors_still_raise(self, params):
+        p = replace(params, n_rx_ant=1)
+        with pytest.raises(geom.OutOfFieldError):
+            bounds.peb_mono_closed(p, mono_node((0.0, 0.0), 0.0), TargetState(position=(-10.0, 1.0)))
+
+
 class TestNetworkPositionEfim:
     def test_single_node_matches_closed_form(self, params):
         node = mono_node((42.0, 0.0), math.pi / 2, "bs1")

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from isacbounds import cli
+from isacbounds import cli, validation
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 MONO4 = str(SCENARIO_DIR / "mono4.json")
@@ -200,6 +200,14 @@ class TestValidateVerb:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(validation, "check_degeneracy",
+                            lambda rng, draws: validation.CheckResult("degeneracy", 1.0, 1e-9))
+        assert run(["validate", "--draws", "3", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "degeneracy,1,1e-09,FAIL" in captured.out.splitlines()
+        assert captured.err == "1 check(s) failed\n"
+
 
 def write_doc(tmp_path, nodes, name="s.json"):
     path = tmp_path / name
@@ -260,6 +268,34 @@ class TestNonFiniteArguments:
     def test_heatmap_grid(self, grid, capsys):
         assert run(["heatmap", "--scenario", MONO4, "--grid", grid]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_peb_rcs(self, capsys):
+        assert run(["peb", "--scenario", MONO4, "--target", "30,30", "--rcs", "nan"]) == 2
+        assert "rcs must be positive and finite" in capsys.readouterr().err
+
+    def test_heatmap_rcs(self, capsys):
+        assert run(["heatmap", "--scenario", MONO4, "--grid", "30:32:1,30:32:1",
+                    "--rcs", "inf"]) == 2
+        assert "rcs must be positive and finite" in capsys.readouterr().err
+
+    def test_veb_speed(self, capsys):
+        assert run(["veb", "--scenario", MONO4, "--target", "30,30", "--mc", "8",
+                    "--speed", "nan"]) == 2
+        assert "speed must be positive and finite" in capsys.readouterr().err
+
+    def test_heatmap_speed(self, capsys):
+        assert run(["heatmap", "--scenario", MONO4, "--grid", "30:32:1,30:32:1",
+                    "--metric", "veb", "--mc", "8", "--speed", "inf"]) == 2
+        assert "speed must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("carrier_freq", "NaN"), ("noise_psd", "Infinity")])
+    def test_scenario_params(self, tmp_path, key, value, capsys):
+        # json.dumps cannot write these, json.loads reads them
+        path = tmp_path / "s.json"
+        path.write_text('{"params": {"%s": %s}, "nodes": [{"id": "a", "position": [0, 0]}]}'
+                        % (key, value))
+        assert run(["peb", "--scenario", str(path), "--target", "30,30"]) == 2
+        assert f"params: {key} must be positive and finite" in capsys.readouterr().err
 
 
 class TestLargeSelection:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isacbounds import engine
+from isacbounds import bounds, engine
 from isacbounds.engine import GridSpec, McConfig
 from isacbounds.errors import ScenarioFormatError
 from isacbounds.model import Node, Scenario, SystemParams
@@ -28,8 +28,9 @@ MC = McConfig(draws=16, seed=3)
 GRID = GridSpec(-6.0, 90.0, -6.0, 90.0, 6.0)
 
 
-def assert_matches_per_cell(s, grid, metric, mc):
-    rows = engine.heatmap(s, grid, metric, mc)
+def assert_matches_per_cell(s, grid, metric, mc, rows=None):
+    if rows is None:
+        rows = engine.heatmap(s, grid, metric, mc)
     s = engine.normalize_power(s)
     cells = [(float(x), float(y)) for y in grid.ys() for x in grid.xs()]
     assert [(x, y) for x, y, _, _ in rows] == cells
@@ -101,3 +102,29 @@ def test_random_mixed_networks_match_per_cell_route(s, data):
     cell_bytes = 8 * (4 if metric == "peb" else mc.draws)
     with mock.patch.object(engine, "_CHUNK_BYTES", cell_bytes * cells_per_chunk):
         assert_matches_per_cell(s, grid, metric, mc)
+
+
+
+@pytest.mark.parametrize("metric", ("veb", "crlb_heading"))
+@pytest.mark.parametrize("name", ("mono4", "multistatic3", "ring8"))
+def test_hoisted_velocity_blocks_match_per_cell_route(name, metric):
+    """At 1,000 draws a block's per-position table serves several slices of
+    draws; the grid spans several blocks and ends in a partial block whose
+    last slice is partial too."""
+    mc = McConfig(draws=1000, seed=11)
+    s = load(name)
+    with mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
+            mock.patch.object(bounds, "heading_velocity_metrics",
+                              wraps=bounds.heading_velocity_metrics) as kernel:
+        rows = engine.heatmap(s, GRID, metric, mc)
+    assert_matches_per_cell(s, GRID, metric, mc, rows)
+    blocks = [len(c.args[1]) for c in table.call_args_list]
+    slices = [len(c.args[1]) for c in kernel.call_args_list]
+    assert len(blocks) >= 3 and sum(blocks) == len(rows) and blocks[-1] < blocks[0]
+    assert sum(slices) == len(rows) and max(slices) < blocks[0] and slices[-1] < max(slices)
+    flags = [flag for _, _, _, flag in rows]
+    assert any("coincides with" in f for f in flags)
+    assert any("out-of-field" in f for f in flags)
+    if name == "multistatic3":
+        assert any("baseline" in f for f in flags)
+        assert any(value == math.inf for _, _, value, _ in rows)
