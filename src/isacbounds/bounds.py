@@ -6,25 +6,30 @@ bound is the trace of the inverse of the sum. Per-link velocity information
 is rank one (a link only measures the radial velocity component), so
 velocity bounds require at least two links with non-collinear geometry.
 
-Every network bound reads one per-link primitive, link_constants: a link's
-SNR, local DoA, ranges, target offsets, bistatic observables and position
-Jacobian at a block of n target positions, as (n,) arrays, with a status
-per position (geom's codes). One loop over the sensing links (_link_rows)
-calls it and turns every status other than OK into one flag per link and
-position instead of aborting, so that coverage maps can render degenerate
-regions. The position information, the rank-one velocity piece and the 4x4
-state information of a link are all computed from its constants.
+Every network bound reads one LinkTable, built once for a block of n target
+positions by one loop over the sensing links (_link_rows). The loop calls
+the per-link primitive, link_constants (a link's SNR, local DoA, ranges,
+target offsets, bistatic observables and position Jacobian as (n,) arrays,
+with a geom status per position), and keeps per link and position the
+status, whether the link is used (status OK), and its information: the
+position information and, when a velocity bound asks for them, the
+velocity terms, both zero where the link is unused. A bound adds the rows
+in link order from zero and inverts the sums as a stack. A degenerate
+position is flagged, not raised, so that coverage maps can render
+degenerate regions: geom.render_flags turns the table's status codes and a
+bound's cell codes into flag strings, which are made only by the public
+bounds and their callers.
 
 The rank-one velocity piece kn * w w^T is computed in two halves: the
-factors that do not depend on the velocity, per position
-(_velocity_terms; for all links of a scenario, velocity_table), and kn and
+factors that do not depend on the velocity, per position (_velocity_terms,
+the table's velocity terms; velocity_table builds such a table), and kn and
 the three entries per velocity draw (_velocity_draws). Every velocity bound
 uses both, so a Monte-Carlo heading average pays the per-position half
 once per position, whatever the number of draws.
 
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
-that no link informs gets +inf and the flag NO_INFORMATION; one point
+that no link informs gets +inf and the flag no-information; one point
 raises NoInformationError instead.
 """
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geom
-from .errors import NoInformationError, SingularGeometryError, UndefinedHeadingError
+from .errors import UndefinedHeadingError
 from .link import FisherMatrix, LinkGeometry, efim_diagonal, link_snr
 from .model import SPEED_OF_LIGHT, Node, Scenario, SystemParams, TargetState
 
@@ -45,9 +50,6 @@ C = SPEED_OF_LIGHT
 # Relative determinant threshold below which a 2x2 information matrix is
 # treated as singular (rank deficient up to roundoff).
 DET_RTOL = 1e-12
-
-# The one flag of a block position that no link informs.
-NO_INFORMATION = "no-information"
 
 
 @dataclass(frozen=True)
@@ -154,51 +156,6 @@ def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkCo
                       geom.SINGULAR_JACOBIAN, status)
     return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
                          obs, (j11 / det, -j01 / det, -j10 / det, j00 / det), status)
-
-
-# Flag of a link dropped at a position, by status; {node} is the rx id.
-_DROP_FLAGS = {
-    geom.COINCIDENT: "target coincides with node {node!r}",
-    geom.OUT_OF_FIELD: "out-of-field",
-    geom.TX_COINCIDENT: "target coincides with the tx node",
-    geom.BASELINE: "target on the tx-rx baseline",
-    geom.SINGULAR_JACOBIAN: "position jacobian of the pair is singular",
-}
-
-
-def _link_rows(p: SystemParams, links, t: TargetState, keep_baseline: bool = False):
-    """([(link, constants, used)], flags) over the given links at the n
-    positions of a block target: used is an (n,) mask and flags a list of
-    n tuples, one flag per link unused at that position, in link order. A
-    link is unused where its status is not OK; keep_baseline keeps it where
-    the status is BASELINE or SINGULAR_JACOBIAN, which only the 2x2 closed
-    forms divide by."""
-    table = []
-    dropped = np.zeros((len(links), len(t.position)), dtype=np.int8)
-    for row, link in zip(dropped, links):
-        lc = link_constants(link, t, p)
-        unused = _no_constants(lc.status) if keep_baseline else lc.status != geom.OK
-        row[unused] = lc.status[unused]
-        table.append((link, lc, ~unused))
-    flags = [()] * len(t.position)
-    for i in np.flatnonzero(dropped.any(axis=0)).tolist():
-        flags[i] = tuple(f"{link.node_id}: " + _DROP_FLAGS[code].format(node=link.rx.id)
-                         for link, code in zip(links, dropped[:, i].tolist()) if code)
-    return table, flags
-
-
-def _link_table(s: Scenario, t: TargetState, keep_baseline: bool = False):
-    """(table, flags, informed): _link_rows over all sensing links of a
-    scenario, and the mask of positions that some link informs. A position
-    no link informs gets the one flag NO_INFORMATION; a target with one
-    position raises NoInformationError instead."""
-    table, flags = _link_rows(s.params, sensing_links(s), _block(t), keep_baseline)
-    informed = np.logical_or.reduce([used for _, _, used in table])
-    if np.ndim(t.position) < 2 and not informed[0]:
-        raise NoInformationError("no link contributes information")
-    for i in np.flatnonzero(~informed).tolist():
-        flags[i] = (NO_INFORMATION,)
-    return table, flags, informed
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +338,24 @@ def _velocity_draws(p: SystemParams, kind: str, terms, vx, vy):
     return kn * wxx, kn * wxy, kn * wyy
 
 
-def _used(info, used: np.ndarray):
-    """The information entries where the link is used, zero elsewhere."""
-    if used.all():
-        return info
-    return tuple(np.where(used, v, 0.0) for v in info)
-
-
-def _one_velocity(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState,
-                  used: np.ndarray | None = None):
-    """Velocity information at the target's own velocity, as (n,) entries;
-    zero where used is False."""
-    info = _velocity_draws(p, link.kind, _velocity_terms(p, link, lc, used), *t.velocity)
-    return tuple(v[:, 0] for v in info)
-
-
 def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
     """Rank-one velocity information of a single link, global frame."""
-    lc = _scalar_constants(link, t, p)
-    if lc.status[0] == geom.BASELINE:
-        raise SingularGeometryError("target on the tx-rx baseline")
-    return _matrix(*(v[0] for v in _one_velocity(p, link, lc, _block(t))))
+    lc = link_constants(link, t, p)
+    if _no_constants(lc.status[0]) or lc.status[0] == geom.BASELINE:
+        geom.raise_status(lc.status[0], link.rx.id)
+    return _matrix(*(v[0, 0] for v in _velocity_draws(p, link.kind, _velocity_terms(p, link, lc),
+                                                        *t.velocity)))
 
 
 def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
-                     lc: LinkConstants | None = None) -> np.ndarray:
+                     snr=None, doa=None) -> np.ndarray:
     """4x4 information over (x, y, vx, vy) of one link at one target
-    position, global frame."""
-    if lc is None:
+    position, global frame, from its SNR and local DoA there ((1,) arrays,
+    computed when not given)."""
+    if snr is None:
         lc = _scalar_constants(link, t, p)
-    e3 = np.diag([v[0] for v in efim_diagonal(p, lc.snr, lc.geometry.doa_local)])
+        snr, doa = lc.snr, lc.geometry.doa_local
+    e3 = np.diag([v[0] for v in efim_diagonal(p, snr, doa)])
     if link.kind == "monostatic":
         j = geom.jac_mono_state(link.rx, t, p.wavelength)
     else:
@@ -418,29 +363,101 @@ def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
     return j.T @ e3 @ j
 
 
+# ---------------------------------------------------------------------------
+# the link table
+
+
+@dataclass(frozen=True)
+class LinkTable:
+    """Every link's part in a network bound at n target positions (see the
+    module docstring). A link is used at a position where its status is OK;
+    its information is zero where it is unused. table[a:b] is the table of
+    positions a to b; heading_velocity_metrics takes one as the position."""
+
+    links: tuple[SensingLink, ...]
+    status: np.ndarray           # (L, n) geom status codes
+    used: np.ndarray             # (L, n) where the status is OK
+    snr: np.ndarray              # (L, n) per-antenna SNR before symbol division
+    doa: np.ndarray              # (L, n) local DoA at the rx
+    position: np.ndarray         # (L, 3, n) position information (xx, xy, yy)
+    velocity: np.ndarray | None  # (L, 12, n, 1) _velocity_terms, if built
+
+    def __len__(self) -> int:
+        return self.status.shape[1]
+
+    def __getitem__(self, rows: slice) -> "LinkTable":
+        return LinkTable(self.links, self.status[:, rows], self.used[:, rows],
+                         self.snr[:, rows], self.doa[:, rows], self.position[:, :, rows],
+                         None if self.velocity is None else self.velocity[:, :, rows])
+
+    def flags(self, cells=(), draws=None, used=None) -> list[tuple[str, ...]]:
+        """geom.render_flags of the positions: the status of every link
+        where it is unused (or, given used, where that mask is False), then
+        the cell codes and singular draws."""
+        codes = self.status if used is None else np.where(used, geom.OK, self.status)
+        return geom.render_flags([(lk.node_id, lk.rx.id) for lk in self.links], codes,
+                                 cells, draws)
+
+
+def _link_rows(p: SystemParams, links, t: TargetState, velocity: bool = False) -> LinkTable:
+    """The LinkTable of the given links at the n positions of a block
+    target; with the velocity terms if velocity is set."""
+    n = len(t.position)
+    status = np.empty((len(links), n), dtype=np.int8)
+    snr, doa = np.empty((2, len(links), n))
+    position = np.zeros((len(links), 3, n))
+    terms = np.zeros((len(links), len(VELOCITY_TERMS), n, 1)) if velocity else None
+    for i, link in enumerate(links):
+        lc = link_constants(link, t, p)
+        status[i], snr[i], doa[i] = lc.status, lc.snr, lc.geometry.doa_local
+        used = lc.status == geom.OK
+        if used.any():
+            position[i] = np.where(used, _position_info(p, link, lc, t), 0.0)
+        if velocity:
+            terms[i] = _velocity_terms(p, link, lc, used)
+    return LinkTable(tuple(links), status, status == geom.OK, snr, doa, position, terms)
+
+
+def _link_table(s: Scenario, t: TargetState, velocity: bool = False) -> LinkTable:
+    """_link_rows over all sensing links of a scenario; a target with one
+    position that no link informs raises NoInformationError."""
+    table = _link_rows(s.params, sensing_links(s), _block(t), velocity)
+    if np.ndim(t.position) < 2 and not table.used.any():
+        geom.raise_status(geom.NO_INFORMATION)
+    return table
+
+
+def _link_sum(info: np.ndarray) -> np.ndarray:
+    """The rows of an (L, ...) stack of link information, added in link
+    order from zero."""
+    total = np.zeros(info.shape[1:])
+    for row in info:
+        total += row
+    return total
+
+
+def _velocity_rows(p: SystemParams, table: LinkTable, vx, vy) -> np.ndarray:
+    """(L, 3, n, D) velocity information (xx, xy, yy) of each link of a
+    table with velocity terms, at velocity components broadcasting against
+    (n, 1) to (n, D); zero where the link is unused."""
+    info = np.zeros((len(table.links), 3) + np.broadcast_shapes(np.shape(vx), (len(table), 1)))
+    for row, link, terms, used in zip(info, table.links, table.velocity, table.used):
+        if used.any():
+            row[:] = _velocity_draws(p, link.kind, terms, vx, vy)
+    return info
+
+
 def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -> np.ndarray:
     """Information of each of L links at one target position, one row per
-    link, for summing over many subsets of the links: position (xx, xy, yy)
-    as an (L + 1, 3) array or, given the velocity components vx, vy of D
-    headings, velocity (xx, xy, yy) as an (L + 1, 3, D) array. An unused
-    link (see _link_rows) and the extra last row are zero, so a subset that
-    adds its links' rows, in link order and from zero, gets exactly the
-    sums of the network bounds."""
-    t = _block(t)
-    table, _ = _link_rows(p, links, t)
-    if vx is None:
-        info = np.zeros((len(links) + 1, 3))
-    else:
-        info = np.zeros((len(links) + 1, 3, np.size(vx)))
-    for row, (link, lc, used) in zip(info, table):
-        if not used[0]:
-            continue
-        if vx is None:
-            row[:] = [v[0] for v in _position_info(p, link, lc, t)]
-        else:
-            row[:] = [v[0] for v in _velocity_draws(p, link.kind, _velocity_terms(p, link, lc),
-                                                    vx, vy)]
-    return info
+    link, for summing over many subsets of the links: the LinkTable's
+    position (xx, xy, yy) as an (L + 1, 3) array or, given the velocity
+    components vx, vy of D headings, velocity (xx, xy, yy) as an
+    (L + 1, 3, D) array. An unused link and the extra last row are zero, so
+    a subset that adds its links' rows, in link order and from zero, gets
+    exactly the sums of the network bounds."""
+    table = _link_rows(p, links, _block(t), velocity=vx is not None)
+    info = table.position[:, :, 0] if vx is None else _velocity_rows(p, table, vx, vy)[:, :, 0]
+    return np.concatenate([info, np.zeros((1,) + info.shape[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -461,62 +478,42 @@ class BoundReport:
     flags: tuple[str, ...] = ()
 
 
-def _add_flag(flags: list, where: np.ndarray, flag: str) -> None:
-    """Append flag to the flags of the positions where the mask is set."""
-    for i in np.flatnonzero(where).tolist():
-        flags[i] += (flag,)
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def _network_sums(s: Scenario, t: TargetState):
-    """(per_node, flags, informed, position sums, velocity sums) at the
-    target's positions: _link_table, and the (xx, xy, yy) information of
-    the links used at each position, added in link order from zero.
-    per_node has an entry for every link, holding (n,) arrays (None where
-    the link is used nowhere), and velocity only for a moving target."""
-    table, flags, informed = _link_table(s, t)
-    t = _block(t)
-    n = len(t.position)
+    """(table, velocity, position sums, velocity sums) at the target's
+    positions: the LinkTable, the (L, 3, n) velocity information of its
+    links at the target's velocity, and the (3, n) sums of both; the
+    velocity ones only for a moving target."""
     moving = t.speed > 0.0
-    pos_total = [np.zeros(n) for _ in range(3)]
-    vel_total = [np.zeros(n) for _ in range(3)] if moving else None
-    per_node = []
-    for link, lc, used in table:
-        entry = {"node_id": link.node_id, "kind": link.kind,
-                 "snr_db": np.where(_no_constants(lc.status), math.nan, 10.0 * np.log10(lc.snr)),
-                 "position_info": None}
-        if moving:
-            entry["velocity_info"] = None
-        if used.any():
-            entry["position_info"] = info = _used(_position_info(s.params, link, lc, t), used)
-            for total, v in zip(pos_total, info):
-                total += v
-            if moving:
-                entry["velocity_info"] = info = _one_velocity(s.params, link, lc, t, used)
-                for total, v in zip(vel_total, info):
-                    total += v
-        per_node.append(entry)
-    return per_node, flags, informed, pos_total, vel_total
+    table = _link_table(s, t, velocity=moving)
+    vel = _velocity_rows(s.params, table, *t.velocity)[..., 0] if moving else None
+    return table, vel, _link_sum(table.position), None if vel is None else _link_sum(vel)
 
 
 def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
     """Sum of per-link position information in the global frame."""
-    return FisherMatrix(labels=("x", "y"), values=_matrix(*(v[0] for v in _network_sums(s, t)[3])))
+    return FisherMatrix(labels=("x", "y"), values=_matrix(*_network_sums(s, t)[2][:, 0]))
+
+
+def _singular(det, xx, yy):
+    """Where a 2x2 information matrix with determinant det and diagonal xx,
+    yy is numerically singular (det not above DET_RTOL |xx yy|, or not
+    finite); elementwise over arrays."""
+    return ~((det > DET_RTOL * np.abs(xx * yy)) & (det < math.inf))
 
 
 def _trace_inverse_2x2(xx, xy, yy):
     """Trace of the inverse of [[xx, xy], [xy, yy]], elementwise over
     arrays; +inf where numerically singular."""
     det = xx * yy - xy * xy
-    # not (det <= rtol * |xx yy| or det not finite), NaN included
-    bounded = (det > DET_RTOL * np.abs(xx * yy)) & (det < math.inf)
+    bounded = ~_singular(det, xx, yy)
     return np.where(bounded, xx + yy, math.inf) / np.where(bounded, det, 1.0)
 
 
 def network_peb(s: Scenario, t: TargetState) -> float:
     """Network position error bound, sqrt of the trace of the inverse
     summed information; +inf when the summed information is singular."""
-    return float(np.sqrt(_trace_inverse_2x2(*_network_sums(s, t)[3]))[0])
+    return float(np.sqrt(_trace_inverse_2x2(*_network_sums(s, t)[2]))[0])
 
 
 def _heading_trig(heading):
@@ -531,7 +528,7 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     elementwise when they are arrays over headings (or over subsets or
     positions by headings, the trig terms broadcasting)."""
     det = vxx * vyy - vxy * vxy
-    singular = (det <= DET_RTOL * np.abs(vxx * vyy)) | ~np.isfinite(det)
+    singular = _singular(det, vxx, vyy)
     safe_det = np.where(singular, 1.0, det)
     c, sn, s2 = trig
     crlb_speed = np.where(singular, np.inf, (vyy * c * c + vxx * sn * sn - vxy * s2) / safe_det)
@@ -540,12 +537,11 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     return crlb_speed, crlb_heading, singular
 
 
-def _velocity_bounds(total, t: TargetState, flags: list, informed: np.ndarray):
-    """(veb, heading CRLB) arrays of a moving target from its summed
-    velocity information; flags the informed positions where it is singular."""
+def _velocity_bounds(total, t: TargetState):
+    """(veb, heading CRLB, singular) arrays of a moving target from its
+    summed velocity information."""
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, t.speed, _heading_trig(t.heading))
-    _add_flag(flags, singular & informed, "velocity-info-singular")
-    return np.sqrt(crlb_speed), crlb_heading
+    return np.sqrt(crlb_speed), crlb_heading, singular
 
 
 def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
@@ -556,10 +552,11 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    _, flags, informed, _, total = _network_sums(s, t)
-    veb, crlb_heading = _velocity_bounds(total, t, flags, informed)
+    table, _, _, total = _network_sums(s, t)
+    veb, crlb_heading, singular = _velocity_bounds(total, t)
     return {"veb": float(veb[0]), "crlb_heading": float(crlb_heading[0]),
-            "velocity_efim": _matrix(*(v[0] for v in total)), "flags": flags[0]}
+            "velocity_efim": _matrix(*total[:, 0]),
+            "flags": table.flags([(geom.VELOCITY_SINGULAR, singular)])[0]}
 
 
 def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
@@ -570,30 +567,32 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     than network_velocity_bounds, which discards cross-information between
     links by reducing each link to its own rank-one velocity piece. Links
     on a tx-rx baseline stay: this form has no division by the ellipse guard.
+    A speed bound that roundoff makes negative is reported as singular.
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    table, flags, _ = _link_table(s, t, keep_baseline=True)
-    flags = list(flags[0])
+    table = _link_rows(s.params, sensing_links(s), _block(t))
+    kept = ~_no_constants(table.status)
+    if not kept.any():
+        geom.raise_status(geom.NO_INFORMATION)
     total = np.zeros((4, 4))
-    for link, lc, used in table:
-        if used[0]:
-            total += _link_state_info(link, t, s.params, lc)
-    i_p = total[:2, :2]
-    i_pv = total[:2, 2:]
-    i_v = total[2:, 2:]
-    det_p = i_p[0, 0] * i_p[1, 1] - i_p[0, 1] * i_p[1, 0]
-    if det_p <= DET_RTOL * abs(i_p[0, 0] * i_p[1, 1]) or not math.isfinite(det_p):
-        return {"veb_exact": math.inf, "flags": tuple(flags + ["position-info-singular"])}
-    ev = i_v - i_pv.T @ np.linalg.solve(i_p, i_pv)
-    j_pol = geom.jac_polar_velocity(t.velocity)
-    m_pol = j_pol.T @ ev @ j_pol
-    det = m_pol[0, 0] * m_pol[1, 1] - m_pol[0, 1] * m_pol[1, 0]
-    if det <= DET_RTOL * abs(m_pol[0, 0] * m_pol[1, 1]) or not math.isfinite(det):
-        return {"veb_exact": math.inf, "flags": tuple(flags + ["velocity-info-singular"])}
-    return {"veb_exact": math.sqrt(m_pol[1, 1] / det), "flags": tuple(flags)}
+    for link, snr, doa, keep in zip(table.links, table.snr, table.doa, kept[:, 0]):
+        if keep:
+            total += _link_state_info(link, t, s.params, snr, doa)
+    i_p, i_pv, i_v = total[:2, :2], total[:2, 2:], total[2:, 2:]
+    veb, code = math.inf, geom.POSITION_SINGULAR
+    if not _singular(i_p[0, 0] * i_p[1, 1] - i_p[0, 1] * i_p[1, 0], i_p[0, 0], i_p[1, 1]):
+        j_pol = geom.jac_polar_velocity(t.velocity)
+        m_pol = j_pol.T @ (i_v - i_pv.T @ np.linalg.solve(i_p, i_pv)) @ j_pol
+        det = m_pol[0, 0] * m_pol[1, 1] - m_pol[0, 1] * m_pol[1, 0]
+        code = geom.VELOCITY_SINGULAR
+        if not _singular(det, m_pol[0, 0], m_pol[1, 1]) and m_pol[1, 1] > 0.0:
+            veb, code = math.sqrt(m_pol[1, 1] / det), geom.OK
+    return {"veb_exact": veb,
+            "flags": table.flags([(code, np.array([code != geom.OK]))], used=kept)[0]}
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     """Full report for one target: position bound always, velocity bounds
     when the target moves.
@@ -601,73 +600,51 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     For a target whose position is an (n, 2) block, the report holds (n,)
     arrays, (2, 2, n) stacks, per-node (xx, xy, yy) arrays and a list of n
     flag tuples; a position that no link informs gets +inf and the one
-    flag NO_INFORMATION, where a target with one position raises
+    flag no-information, where a target with one position raises
     NoInformationError.
     """
-    per_node, flags, informed, pos_total, vel_total = _network_sums(s, t)
+    table, vel, pos_total, vel_total = _network_sums(s, t)
     peb = np.sqrt(_trace_inverse_2x2(*pos_total))
-    _add_flag(flags, np.isinf(peb) & informed, "position-info-singular")
+    cells = [(geom.POSITION_SINGULAR, np.isinf(peb))]
     veb = crlb_heading = None
-    if vel_total is not None:
-        veb, crlb_heading = _velocity_bounds(vel_total, t, flags, informed)
-    if np.ndim(t.position) == 2:
-        return BoundReport(peb, veb, crlb_heading, _matrix(*pos_total),
-                           None if vel_total is None else _matrix(*vel_total), per_node, flags)
-    for entry in per_node:
-        entry["snr_db"] = None if math.isnan(entry["snr_db"][0]) else float(entry["snr_db"][0])
-        for key in ("position_info", "velocity_info"):
-            if entry.get(key) is not None:
-                entry[key] = _matrix(*(v[0] for v in entry[key]))
-    return BoundReport(
-        peb=float(peb[0]),
-        veb=None if veb is None else float(veb[0]),
-        crlb_heading=None if crlb_heading is None else float(crlb_heading[0]),
-        position_efim=_matrix(*(v[0] for v in pos_total)),
-        velocity_efim=None if vel_total is None else _matrix(*(v[0] for v in vel_total)),
-        per_node=per_node,
-        flags=flags[0],
-    )
+    if vel is not None:
+        veb, crlb_heading, singular = _velocity_bounds(vel_total, t)
+        cells.append((geom.VELOCITY_SINGULAR, singular))
+    flags = table.flags(cells)
+    snr_db = np.where(_no_constants(table.status), math.nan, 10.0 * np.log10(table.snr))
+    info, block = tuple, np.ndim(t.position) == 2
+    if not block:  # one position: scalars and 2x2 matrices
+        peb, veb, crlb_heading = (None if v is None else float(v[0])
+                                  for v in (peb, veb, crlb_heading))
+        pos_total, vel_total = pos_total[:, 0], None if vel is None else vel_total[:, 0]
+        snr_db = [None if math.isnan(v) else v for v in snr_db[:, 0].tolist()]
+        flags, info = flags[0], lambda rows: _matrix(*rows[:, 0])
+    per_node = []
+    for i, link in enumerate(table.links):
+        used = table.used[i].any()
+        entry = {"node_id": link.node_id, "kind": link.kind, "snr_db": snr_db[i],
+                 "position_info": info(table.position[i]) if used else None}
+        if vel is not None:
+            entry["velocity_info"] = info(vel[i]) if used else None
+        per_node.append(entry)
+    return BoundReport(peb, veb, crlb_heading, _matrix(*pos_total),
+                       None if vel is None else _matrix(*vel_total), per_node, flags)
 
 
-@dataclass(frozen=True)
-class VelocityTable:
-    """Per-position half of the velocity information of a scenario at n
-    positions: each sensing link's kind, its used mask and _velocity_terms
-    (an (L, 12, n, 1) array, zero information where the link is unused),
-    and the positions' flags (see _link_table). table[a:b] is the table of
-    positions a to b; heading_velocity_metrics takes it as the position."""
-
-    kinds: tuple[str, ...]
-    used: np.ndarray   # (L, n)
-    terms: np.ndarray  # (L, 12, n, 1)
-    flags: list
-
-    def __len__(self) -> int:
-        return len(self.flags)
-
-    def __getitem__(self, rows: slice) -> "VelocityTable":
-        return VelocityTable(self.kinds, self.used[:, rows], self.terms[:, :, rows],
-                             self.flags[rows])
+def velocity_table(s: Scenario, position, rcs: float = 1.0) -> LinkTable:
+    """The LinkTable, with velocity terms, of a scenario at an (n, 2) block
+    of positions, or at one position (a block of one), where no link
+    informing it raises NoInformationError."""
+    return _link_table(s, TargetState(position=position, rcs=rcs), velocity=True)
 
 
-def velocity_table(s: Scenario, position, rcs: float = 1.0) -> VelocityTable:
-    """The VelocityTable of a scenario at an (n, 2) block of positions, or
-    at one position (a block of one), where no link informing it raises
-    NoInformationError."""
-    table, flags, _ = _link_table(s, TargetState(position=position, rcs=rcs))
-    return VelocityTable(tuple(link.kind for link, _, _ in table),
-                         np.array([used for _, _, used in table]),
-                         np.array([_velocity_terms(s.params, link, lc, used)
-                                   for link, lc, used in table]), flags)
-
-
-def _velocity_sums(p: SystemParams, table: VelocityTable, vx, vy):
+def _velocity_sums(p: SystemParams, table: LinkTable, vx, vy):
     """(xx, xy, yy) of the velocity information summed over the links of a
     table, added in link order from zero, at (n, D) velocity components."""
     total = [np.zeros((len(table), vx.shape[1])) for _ in range(3)]
-    for kind, used, terms in zip(table.kinds, table.used, table.terms):
+    for link, used, terms in zip(table.links, table.used, table.velocity):
         if used.any():
-            for tot, v in zip(total, _velocity_draws(p, kind, terms, vx, vy)):
+            for tot, v in zip(total, _velocity_draws(p, link.kind, terms, vx, vy)):
                 tot += v
     return total
 
@@ -681,16 +658,16 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     half of each link's information (velocity_table) is computed once, and
     only the velocity-dependent coefficient is evaluated per heading.
     Singular headings are reported in the mask; callers decide how to
-    aggregate. For an (n, 2) block of positions, or a VelocityTable of n
+    aggregate. For an (n, 2) block of positions, or a velocity_table of n
     positions (whose rcs it was built with; rcs is then not read), headings
     is (n, D) (or (D,), shared), the results are (n, D) arrays and flags a
     list of n tuples; a position that no link informs is singular
-    throughout and gets the one flag NO_INFORMATION, where one position
+    throughout and gets the one flag no-information, where one position
     raises NoInformationError.
     """
     if speed <= 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    if isinstance(position, VelocityTable):
+    if isinstance(position, LinkTable):
         table, block = position, True
     else:
         table, block = velocity_table(s, position, rcs), np.ndim(position) == 2
@@ -698,7 +675,7 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     total = _velocity_sums(s.params, table, speed * trig[0], speed * trig[1])
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, speed, trig)
     res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
-           "singular": singular, "flags": table.flags}
+           "singular": singular, "flags": table.flags()}
     if block:
         return res
     return {key: value[0] for key, value in res.items()}

@@ -205,42 +205,35 @@ def _run_link(args) -> int:
     return 0
 
 
+def _emit_point(args, pos, results) -> int:
+    """Emit (metric, value, flag tuple) results at one target position."""
+    rows = [{"x": pos[0], "y": pos[1], "metric": metric, "value": value, "flag": ";".join(flags)}
+            for metric, value, flags in results]
+    emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
+    return 0
+
+
 def _run_peb(args) -> int:
     s = engine.normalize_power(_load_scenario(args.scenario))
     pos = _parse_pair(args.target, "--target")
-    t = TargetState(position=pos, rcs=args.rcs)
-    report = bounds.evaluate_bounds(s, t)
-    rows = [{"x": pos[0], "y": pos[1], "metric": "peb",
-             "value": report.peb, "flag": ";".join(report.flags)}]
-    emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
-    return 0
+    report = bounds.evaluate_bounds(s, TargetState(position=pos, rcs=args.rcs))
+    return _emit_point(args, pos, [("peb", report.peb, report.flags)])
 
 
 def _run_veb(args) -> int:
     s = engine.normalize_power(_load_scenario(args.scenario))
     pos = _parse_pair(args.target, "--target")
-    rows = []
-    if args.velocity is not None:
-        vel = _parse_pair(args.velocity, "--velocity")
-        t = TargetState(position=pos, velocity=vel, rcs=args.rcs)
-        res = bounds.network_velocity_bounds(s, t)
-        flag = ";".join(res["flags"])
-        rows.append({"x": pos[0], "y": pos[1], "metric": "veb",
-                     "value": res["veb"], "flag": flag})
-        rows.append({"x": pos[0], "y": pos[1], "metric": "crlb_heading",
-                     "value": res["crlb_heading"], "flag": flag})
-        if args.exact:
-            ex = bounds.network_velocity_bounds_exact(s, t)
-            rows.append({"x": pos[0], "y": pos[1], "metric": "veb_exact",
-                         "value": ex["veb_exact"], "flag": ";".join(ex["flags"])})
-    else:
-        mc = _mc_from_args(args)
-        for metric in ("veb", "crlb_heading"):
-            value, flag = engine.evaluate_metric(s, pos, metric, mc, rcs=args.rcs)
-            rows.append({"x": pos[0], "y": pos[1], "metric": metric,
-                         "value": value, "flag": flag})
-    emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
-    return 0
+    if args.velocity is None:
+        means, flags = engine.velocity_metrics(s, [pos], _mc_from_args(args), rcs=args.rcs)
+        return _emit_point(args, pos, [(metric, float(values[0]), flags[0])
+                                       for metric, values in means.items()])
+    t = TargetState(position=pos, velocity=_parse_pair(args.velocity, "--velocity"), rcs=args.rcs)
+    res = bounds.network_velocity_bounds(s, t)
+    results = [(metric, res[metric], res["flags"]) for metric in ("veb", "crlb_heading")]
+    if args.exact:
+        ex = bounds.network_velocity_bounds_exact(s, t)
+        results.append(("veb_exact", ex["veb_exact"], ex["flags"]))
+    return _emit_point(args, pos, results)
 
 
 def _run_heatmap(args) -> int:

@@ -200,7 +200,7 @@ def _parse_params(doc: dict, where: str) -> SystemParams:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_node(doc: dict, where: str) -> Node:
+def _parse_node(doc: dict, where: str, policy: str) -> Node:
     known = {"id", "position", "orientation_deg", "role", "tx_id", "power_scale"}
     for key in doc:
         if key not in known:
@@ -208,6 +208,9 @@ def _parse_node(doc: dict, where: str) -> Node:
     for key in ("id", "position"):
         if key not in doc:
             raise ScenarioFormatError(f"{where}: missing required key {key!r}")
+    if policy == "normalized_total" and "power_scale" in doc:
+        raise ScenarioFormatError(f"{where} ({str(doc['id'])!r}): power_scale is set by the "
+                                  "normalized_total power policy; remove it or use fixed_per_node")
     pos = doc["position"]
     if not (isinstance(pos, list) and len(pos) == 2):
         raise ScenarioFormatError(f"{where}.position: expected [x, y]")
@@ -229,6 +232,8 @@ def load_scenario(document) -> Scenario:
 
     Omitted radio parameters fall back to the defaults of SystemParams;
     unknown keys are rejected with the offending location in the message.
+    Under the normalized_total power policy the policy sets every node's
+    power_scale, so a node that gives one is rejected.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -247,16 +252,19 @@ def load_scenario(document) -> Scenario:
     nodes_doc = doc.get("nodes")
     if not isinstance(nodes_doc, list) or not nodes_doc:
         raise ScenarioFormatError("scenario: 'nodes' must be a non-empty list")
-    nodes = tuple(_parse_node(nd, f"nodes[{i}]") for i, nd in enumerate(nodes_doc))
+    policy = doc.get("power_policy", "fixed_per_node")
+    nodes = tuple(_parse_node(nd, f"nodes[{i}]", policy) for i, nd in enumerate(nodes_doc))
     try:
-        return Scenario(params=params, nodes=nodes,
-                        power_policy=doc.get("power_policy", "fixed_per_node"))
+        return Scenario(params=params, nodes=nodes, power_policy=policy)
     except BoundsError as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
 
 def dump_scenario(s: Scenario) -> dict:
-    """Scenario as a plain dict; load_scenario(dump_scenario(s)) == s."""
+    """Scenario as a plain dict; load_scenario(dump_scenario(s)) == s.
+    Under normalized_total the policy sets the power scales, so none is
+    written: the round trip then holds where every node's is 1, as in a
+    loaded scenario."""
     params = {}
     defaults = SystemParams()
     for key in _PARAM_KEYS:
@@ -271,7 +279,7 @@ def dump_scenario(s: Scenario) -> dict:
               "orientation_deg": math.degrees(n.orientation), "role": n.role}
         if n.tx_id is not None:
             nd["tx_id"] = n.tx_id
-        if n.power_scale != 1.0:
+        if n.power_scale != 1.0 and s.power_policy != "normalized_total":
             nd["power_scale"] = n.power_scale
         nodes.append(nd)
     return {"params": params, "nodes": nodes, "power_policy": s.power_policy}
@@ -308,11 +316,10 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
 
     Velocity metrics are averaged over the Monte-Carlo headings of the
     cell's substream at the fixed speed of the Monte-Carlo config; any
-    singular draw makes the value +inf. Returns (value, flag). For an
-    (n, 2) block of positions with n cell indices, returns an (n,) array of
-    values and a list of n flags, each cell's the same as on its own; a
-    velocity metric computes the block's per-position table once and draws
-    the headings slice by slice (see the module docstring)."""
+    singular draw makes the value +inf (see velocity_metrics). Returns
+    (value, flag). For an (n, 2) block of positions with n cell indices,
+    returns an (n,) array of values and a list of n flags, each cell's the
+    same as on its own."""
     if metric not in METRICS:
         raise ScenarioFormatError(f"unknown metric {metric!r}")
     xy = np.reshape(np.asarray(position, dtype=float), (-1, 2))
@@ -320,39 +327,46 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
         report = bounds.evaluate_bounds(s, TargetState(position=xy, rcs=rcs))
         values, flags = report.peb, report.flags
     else:
-        table = bounds.velocity_table(s, xy, rcs)
-        flags = table.flags
-        cells = np.reshape(cell_index, -1).tolist()
-        step = _slice_cells(mc)
-        means, n_bad = np.empty(len(xy)), np.empty(len(xy), dtype=int)
-        for a in range(0, len(xy), step):
-            means[a:a + step], n_bad[a:a + step] = _draw_means(
-                s, table[a:a + step], metric, mc, cells[a:a + step])
-        values = np.where(n_bad > 0, math.inf, means)
-        for i in np.flatnonzero(n_bad).tolist():
-            if flags[i] != (bounds.NO_INFORMATION,):
-                flags[i] += (f"singular-draws={n_bad[i]}/{mc.draws}",)
-    flags = [";".join(f) if f else "" for f in flags]
+        means, flags = velocity_metrics(s, xy, mc, cell_index, rcs)
+        values = means[metric]
+    flags = [";".join(f) for f in flags]
     if np.ndim(position) == 2:
         return values, flags
     return float(values[0]), flags[0]
+
+
+def velocity_metrics(s: Scenario, position, mc: McConfig, cell_index=0, rcs: float = 1.0):
+    """Both velocity metrics at an (n, 2) block of positions with n cell
+    indices, from one set of heading draws: ({"veb": values,
+    "crlb_heading": values}, flags), (n,) arrays and a list of n flag
+    tuples. Each value is the mean over the draws of the cell's substream
+    (_draw_mean); a cell with singular draws is flagged with their count.
+    The block's per-position table is built once and the headings drawn
+    slice by slice (see the module docstring)."""
+    table = bounds.velocity_table(s, position, rcs)
+    cells = np.reshape(cell_index, -1).tolist()
+    step = _slice_cells(mc)
+    means = {metric: np.empty(len(table)) for metric in METRICS[1:]}
+    n_bad = np.empty(len(table), dtype=int)
+    for a in range(0, len(table), step):
+        headings = np.array([mc.headings(i) for i in cells[a:a + step]])
+        res = bounds.heading_velocity_metrics(s, table[a:a + step], mc.speed, headings)
+        for metric, mean in means.items():
+            mean[a:a + step] = _draw_mean(res[metric], res["singular"])
+        n_bad[a:a + step] = res["singular"].sum(axis=1)
+    return means, table.flags(draws=(n_bad, mc.draws))
+
+
+def _draw_mean(draws: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Mean of a velocity metric over the heading draws (the last axis),
+    +inf where any draw is singular."""
+    return np.where(singular.any(axis=-1), math.inf, draws.mean(axis=-1))
 
 
 def _slice_cells(mc: McConfig) -> int:
     """Cells whose heading draws (a float64 per cell and draw) keep within
     _CHUNK_BYTES, at least one."""
     return max(1, _CHUNK_BYTES // (8 * mc.draws))
-
-
-def _draw_means(s: Scenario, table: bounds.VelocityTable, metric: str, mc: McConfig,
-                cells):
-    """(mean over the heading draws, singular draw count) of a velocity
-    metric at the positions of a table slice, (n,) arrays each; the
-    slice's per-draw arrays are freed on return."""
-    headings = np.array([mc.headings(i) for i in cells])
-    res = bounds.heading_velocity_metrics(s, table, mc.speed, headings)
-    draws = res["veb"] if metric == "veb" else res["crlb_heading"]
-    return draws.mean(axis=1), res["singular"].sum(axis=1)
 
 
 def heatmap(s: Scenario, grid: GridSpec, metric: str = "peb",
@@ -367,7 +381,7 @@ def heatmap(s: Scenario, grid: GridSpec, metric: str = "peb",
     s = normalize_power(s)
     cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
     # float64 bytes per cell: a 2x2 matrix, or the velocity terms of every link
-    n_links = sum(n.role in ("monostatic", "rx") for n in s.nodes)
+    n_links = len(bounds.sensing_links(s))
     cell_bytes = 8 * (4 if metric == "peb" else len(bounds.VELOCITY_TERMS) * n_links)
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
     if metric != "peb" and chunk > _slice_cells(mc):  # whole slices of draws
@@ -386,12 +400,20 @@ def sweep(s: Scenario, t: TargetState, parameter: str, values, metric: str = "pe
     """Metric versus one system parameter, power re-normalized per point.
 
     Returns rows (parameter, value, metric, metric_value, flag); a value
-    whose resource floor collapses below two subcarriers/symbols is reported
-    as an invalid point, not skipped.
+    whose resource floor collapses below two subcarriers/symbols, or that
+    lies out of its parameter's range, is reported as an invalid point, not
+    skipped. A value that is not finite, or an n_rx_ant value that is not
+    an integer, raises ScenarioFormatError before any point is evaluated.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ScenarioFormatError(
             f"unknown sweep parameter {parameter!r} (expected one of {SWEEP_PARAMETERS})")
+    values = list(values)
+    for value in values:
+        if not math.isfinite(value):
+            raise ScenarioFormatError(f"sweep values must be finite, got {value!r}")
+        if parameter == "n_rx_ant" and not float(value).is_integer():
+            raise ScenarioFormatError(f"n_rx_ant sweep values must be integers, got {value!r}")
     mc = mc or McConfig()
     rows = []
     for value in values:
@@ -455,7 +477,7 @@ def _score_subsets(p: SystemParams, links, rows: np.ndarray, target, metric: str
         crlb_speed, crlb_heading, singular = bounds._polar_crlbs(
             tot[:, 0], tot[:, 1], tot[:, 2], mc.speed, trig)
         draws = np.sqrt(crlb_speed) if metric == "veb" else crlb_heading
-        values[start:start + k] = np.where(singular.any(axis=1), math.inf, draws.mean(axis=1))
+        values[start:start + k] = _draw_mean(draws, singular)
     return values
 
 

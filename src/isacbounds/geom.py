@@ -10,6 +10,11 @@ target positions (a target whose position is one). They then do the same
 arithmetic on (n,) arrays and return, in place of the raise, a status per
 position: OK or the first degeneracy that applies, in the order of the codes
 below. Given one position they compute a block of one and raise on its status.
+
+The codes are also the package's one flag vocabulary: CODES maps each to
+the exception and text the scalar forms raise and to the flag a network
+bound reports instead, and render_flags turns an (L, n) array of link codes
+and per-position cell codes into the flag strings of n positions.
 """
 from __future__ import annotations
 
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBistaticRangeError, OutOfFieldError, SingularGeometryError, UndefinedHeadingError
+from .errors import (InvalidBistaticRangeError, NoInformationError, OutOfFieldError,
+                     SingularGeometryError, UndefinedHeadingError)
 from .model import SPEED_OF_LIGHT, Node, TargetState, wrap_angle
 
 C = SPEED_OF_LIGHT
@@ -33,14 +39,28 @@ OUT_OF_FIELD = 2       # behind the receiving array
 TX_COINCIDENT = 3      # on the transmitter of a separated pair
 BASELINE = 4           # on a separated pair's tx-rx baseline: the ellipse degenerates
 SINGULAR_JACOBIAN = 5  # a separated pair's position Jacobian is not invertible
+# Codes of a position of a network bound (a cell), after the link codes.
+NO_INFORMATION = 6     # no link informs the position
+POSITION_SINGULAR = 7  # the summed position information is singular
+VELOCITY_SINGULAR = 8  # the summed velocity information is singular
 
-_ERRORS = {
-    COINCIDENT: (SingularGeometryError, "target coincides with node {node!r}"),
-    OUT_OF_FIELD: (OutOfFieldError, "target behind array of node {node!r} (|doa| >= pi/2)"),
-    TX_COINCIDENT: (SingularGeometryError, "target coincides with the tx node"),
-    BASELINE: (SingularGeometryError, "target on the tx-rx baseline (ellipse degenerates)"),
-    SINGULAR_JACOBIAN: (SingularGeometryError, "position jacobian of the pair is singular"),
+# code: (exception, raise text, flag text). {node} is the receiving node's
+# id and {flag} the flag text; the raise text is the flag text where None.
+# A cell code that only flags has no exception.
+CODES = {
+    COINCIDENT: (SingularGeometryError, None, "target coincides with node {node!r}"),
+    OUT_OF_FIELD: (OutOfFieldError, "target behind array of node {node!r} (|doa| >= pi/2)",
+                   "out-of-field"),
+    TX_COINCIDENT: (SingularGeometryError, None, "target coincides with the tx node"),
+    BASELINE: (SingularGeometryError, "{flag} (ellipse degenerates)",
+               "target on the tx-rx baseline"),
+    SINGULAR_JACOBIAN: (SingularGeometryError, None, "position jacobian of the pair is singular"),
+    NO_INFORMATION: (NoInformationError, "no link contributes information", "no-information"),
+    POSITION_SINGULAR: (None, None, "position-info-singular"),
+    VELOCITY_SINGULAR: (None, None, "velocity-info-singular"),
 }
+# Flag of a Monte-Carlo cell with singular heading draws.
+SINGULAR_DRAWS = "singular-draws={count}/{draws}"
 
 
 def raise_status(status, node_id: str = "") -> None:
@@ -48,8 +68,33 @@ def raise_status(status, node_id: str = "") -> None:
     names the receiving node."""
     code = int(status)
     if code != OK:
-        error, text = _ERRORS[code]
-        raise error(text.format(node=node_id))
+        error, text, flag = CODES[code]
+        raise error((text or "{flag}").format(flag=flag.format(node=node_id), node=node_id))
+
+
+def render_flags(labels, codes: np.ndarray, cells=(), draws=None) -> list[tuple[str, ...]]:
+    """Flags of n positions, a tuple of strings each. labels holds each of L
+    links' (reporting node id, receiving node id) and codes an (L, n) array
+    of their codes, OK where the link is used; cells holds (code, (n,) mask)
+    pairs and draws (singular draw counts (n,), draws per position). A
+    position gets each link's flag "<reporting node>: <text>", in link order,
+    then each cell code where its mask is set and SINGULAR_DRAWS where its
+    count is positive; a position where no link is used gets NO_INFORMATION
+    alone."""
+    count, n_draws = (np.zeros(codes.shape[1], dtype=int), 0) if draws is None else draws
+    unused = codes != OK
+    flagged = np.logical_or.reduce([unused.any(axis=0), count > 0] + [m for _, m in cells])
+    flags = [()] * codes.shape[1]
+    for i in np.flatnonzero(flagged).tolist():
+        if unused[:, i].all():
+            flags[i] = (CODES[NO_INFORMATION][2],)
+            continue
+        flags[i] = tuple(f"{node}: " + CODES[code][2].format(node=rx)
+                         for (node, rx), code in zip(labels, codes[:, i].tolist()) if code)
+        flags[i] += tuple(CODES[code][2] for code, mask in cells if mask[i])
+        if count[i]:
+            flags[i] += (SINGULAR_DRAWS.format(count=count[i], draws=n_draws),)
+    return flags
 
 
 def positions(p) -> tuple[np.ndarray, bool]:
@@ -213,7 +258,7 @@ def jac_mono_state(node: Node, t: TargetState, wavelength: float) -> np.ndarray:
     dy = t.position[1] - node.position[1]
     r = math.hypot(dx, dy)
     if r == 0.0:
-        raise SingularGeometryError(f"target coincides with node {node.id!r}")
+        raise_status(COINCIDENT, node.id)
     vx, vy = t.velocity
     lam = wavelength
     return np.array([
