@@ -29,7 +29,7 @@ once per position, whatever the number of draws.
 
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
-that no link informs gets +inf and the flag no-information; one point
+that no link informs gets +inf and the flag of geom.NO_INFORMATION; one point
 raises NoInformationError instead.
 """
 from __future__ import annotations
@@ -600,7 +600,7 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     For a target whose position is an (n, 2) block, the report holds (n,)
     arrays, (2, 2, n) stacks, per-node (xx, xy, yy) arrays and a list of n
     flag tuples; a position that no link informs gets +inf and the one
-    flag no-information, where a target with one position raises
+    flag of geom.NO_INFORMATION, where a target with one position raises
     NoInformationError.
     """
     table, vel, pos_total, vel_total = _network_sums(s, t)
@@ -662,7 +662,7 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     positions (whose rcs it was built with; rcs is then not read), headings
     is (n, D) (or (D,), shared), the results are (n, D) arrays and flags a
     list of n tuples; a position that no link informs is singular
-    throughout and gets the one flag no-information, where one position
+    throughout and gets the one flag of geom.NO_INFORMATION, where one position
     raises NoInformationError.
     """
     if speed <= 0.0:

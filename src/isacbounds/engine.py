@@ -1,39 +1,47 @@
 """Scenario ingestion, power normalization, coverage maps, parameter sweeps,
 and exhaustive node/transmitter selection.
 
+Every metric reads one bounds.LinkTable per block of target positions: each
+sensing link's status, used mask and information at every position of the
+block, built once by one loop over the links. Flag strings are made from
+the table's status codes and the metric's cell codes by one renderer,
+geom.render_flags, and joined with ";" by evaluate_metric.
+
 Maps are evaluated in one process, block by block, through the block form of
 evaluate_metric: a block's cells go through every per-link layer as arrays,
 each link's information is added in link order from zero, and the sums are
 inverted as a stack; a cell gets exactly the value and flags of
 evaluate_metric at its own position. A PEB block holds as many cells as keep
 their 2x2 position information within _CHUNK_BYTES (1,024). A velocity block
-holds as many cells as keep its per-position table (bounds.velocity_table:
-12 float64 terms per link and cell) within _CHUNK_BYTES, in whole slices:
-84 cells of a 4-link scenario. Its cells are walked in slices that keep the
-per-draw arrays (cells x heading draws) within _CHUNK_BYTES, 4 cells at
-1,000 draws, and each slice is reduced to its per-cell mean and singular
-draw count before the next is drawn. Monte-Carlo heading draws use one
-counter-based substream per grid cell (seeded by the cell index), so results
-are bit-identical for a given seed whatever the block and slice sizes.
-Building the per-position table once per block rather than once per 4-cell
-slice took a benchmark VEB map job (43 x 43 cells at 1,000 draws, through
-the CLI) from 0.562 s to 0.327 s (perfbench map_veb, medians of 10
-alternating pairs on a 2-CPU VM).
+holds as many cells as keep the table's velocity terms (bounds.velocity_table:
+12 float64 terms per link and cell, for the table's link count) within
+_CHUNK_BYTES, in whole slices: 84 cells of a 4-link scenario. Its cells are
+walked in slices that keep the per-draw arrays (cells x heading draws) within
+_CHUNK_BYTES, 4 cells at 1,000 draws, and each slice is reduced to its
+per-cell means and singular draw count before the next is drawn
+(velocity_metrics, which yields both velocity metrics from the same draws).
+Monte-Carlo heading draws use one counter-based substream per grid cell
+(seeded by the cell index), so results are bit-identical for a given seed
+whatever the block and slice sizes. Building the per-position table once per
+block rather than once per 4-cell slice took a benchmark VEB map job (43 x 43
+cells at 1,000 draws, through the CLI) from 0.562 s to 0.327 s (perfbench
+map_veb, medians of 10 alternating pairs on a 2-CPU VM).
 
 Selection scores every subset from per-link information computed once.
 Information from independent links adds, so a subset's summed information
 is the sum of its links' pieces, and those pieces are the same in every
 subset that holds the link at the same power share (1/n of the budget for a
 subset of n transmitters under normalized_total; for select_tx a link is an
-ordered tx -> rx pair). The scorer computes each distinct link's
-information once (bounds.link_information), holds the subsets as one
+ordered tx -> rx pair). The scorer reads each distinct link's information
+from one LinkTable (bounds.link_information), holds the subsets as one
 (n_subsets, width) array of link indices, and evaluates them in chunks:
 each chunk adds its links' rows in the subset's link order, from zero, and
 inverts the sums as a stack (the trace inverse for the PEB; the polar
-CRLBs and the mean over the heading draws for the velocity metrics). The
-additions are the ones evaluate_metric makes, in the same order, so every
-value equals the per-subset route exactly, +inf included. Memory is bounded
-by the link table (links x draws) plus chunk buffers of _CHUNK_BYTES.
+CRLBs and _draw_mean, the mean over the heading draws that maps share, for
+the velocity metrics). The additions are the ones evaluate_metric makes, in
+the same order, so every value equals the per-subset route exactly, +inf
+included. Memory is bounded by the link table (links x draws) plus chunk
+buffers of _CHUNK_BYTES.
 """
 from __future__ import annotations
 
@@ -113,6 +121,8 @@ class McConfig:
     def __post_init__(self):
         if self.draws < 1:
             raise ScenarioFormatError("mc draws must be >= 1")
+        if self.seed < 0:
+            raise ScenarioFormatError("mc seed must be >= 0")
         if not 0.0 < self.speed < math.inf:  # NaN included
             raise ScenarioFormatError("mc speed must be positive and finite")
 
@@ -189,9 +199,11 @@ def _parse_params(doc: dict, where: str) -> SystemParams:
             kwargs[key] = _parse_constellation(value, f"{where}.constellation")
         elif key in _PARAM_KEYS:
             try:
-                kwargs[key] = _PARAM_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
+                kwargs[key] = typed = _PARAM_KEYS[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:  # int() of nan, of inf
                 raise ScenarioFormatError(f"{where}.{key}: not a number") from exc
+            if _PARAM_KEYS[key] is int and isinstance(value, float) and typed != value:
+                raise ScenarioFormatError(f"{where}.{key}: must be an integer, got {value!r}")
         else:
             raise ScenarioFormatError(f"{where}: unknown key {key!r}")
     try:

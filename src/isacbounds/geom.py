@@ -83,7 +83,9 @@ def render_flags(labels, codes: np.ndarray, cells=(), draws=None) -> list[tuple[
     alone."""
     count, n_draws = (np.zeros(codes.shape[1], dtype=int), 0) if draws is None else draws
     unused = codes != OK
-    flagged = np.logical_or.reduce([unused.any(axis=0), count > 0] + [m for _, m in cells])
+    flagged = unused.any(axis=0) | (count > 0)
+    for _, mask in cells:
+        flagged |= mask
     flags = [()] * codes.shape[1]
     for i in np.flatnonzero(flagged).tolist():
         if unused[:, i].all():

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, geom, link, oracle
+from .errors import ScenarioFormatError
 from .model import Node, SystemParams, TargetState
 
 
@@ -238,6 +239,8 @@ def check_velocity_rank(rng, draws: int) -> CheckResult:
 
 
 def run_validation(seed: int = 0, draws: int = 50) -> list[CheckResult]:
+    if seed < 0:
+        raise ScenarioFormatError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     return [
         check_fim_oracle(rng, draws),

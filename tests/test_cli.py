@@ -4,9 +4,11 @@ import json
 import math
 import pathlib
 
+from unittest import mock
+
 import pytest
 
-from isacbounds import cli, validation
+from isacbounds import bounds, cli, engine, validation
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 MONO4 = str(SCENARIO_DIR / "mono4.json")
@@ -81,6 +83,21 @@ class TestVebVerb:
                     "--mc", "16", "--seed", "7", "-o", str(out)]) == 0
         rows = {r["metric"]: r for r in read_csv(out)}
         assert float(rows["veb"]["value"]) > 0.0
+
+
+    def test_monte_carlo_draws_once_for_both_metrics(self, capsys):
+        with mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
+                mock.patch.object(bounds, "heading_velocity_metrics",
+                                  wraps=bounds.heading_velocity_metrics) as kernel, \
+                mock.patch.object(engine.McConfig, "headings", autospec=True,
+                                  side_effect=engine.McConfig.headings) as headings:
+            assert run(["veb", "--scenario", MONO4, "--target", "70,30", "--mc", "1000"]) == 0
+        assert (table.call_count, kernel.call_count, headings.call_count) == (1, 1, 1)
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        s = engine.normalize_power(engine.load_scenario(pathlib.Path(MONO4).read_text()))
+        for row, metric in zip(rows, ("veb", "crlb_heading")):
+            value, flag = engine.evaluate_metric(s, (70.0, 30.0), metric, engine.McConfig())
+            assert (row["metric"], row["value"], row["flag"]) == (metric, cli._fmt(value), flag)
 
 
 class TestLinkVerb:
@@ -296,6 +313,32 @@ class TestNonFiniteArguments:
                         % (key, value))
         assert run(["peb", "--scenario", str(path), "--target", "30,30"]) == 2
         assert f"params: {key} must be positive and finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("parameter, values, message", [
+        ("n_rx_ant", "nan", "sweep values must be finite, got nan"),
+        ("n_rx_ant", "8,1e400", "sweep values must be finite, got inf"),
+        ("n_rx_ant", "8,2.5", "n_rx_ant sweep values must be integers, got 2.5"),
+        ("frac_subcarriers", "0.2,-inf", "sweep values must be finite, got -inf"),
+    ])
+    def test_sweep_values(self, parameter, values, message, capsys):
+        assert run(["sweep", "--scenario", MONO4, "--target", "30,30",
+                    "--parameter", parameter, "--values", values]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_sweep_out_of_range_integer_is_an_invalid_row(self, capsys):
+        assert run(["sweep", "--scenario", MONO4, "--target", "30,30",
+                    "--parameter", "n_rx_ant", "--values", "0,8"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert rows[0]["flag"].startswith("invalid: ") and rows[1]["flag"] == ""
+
+
+class TestPowerScaleUnderNormalizedTotal:
+    def test_exits_2_naming_the_node(self, tmp_path, capsys):
+        nodes = [dict(COMMA_NODES[1], power_scale=0.5)]
+        assert run(["peb", "--scenario", write_doc(tmp_path, nodes), "--target", "30,30"]) == 2
+        assert "nodes[0] ('bs2'): power_scale" in capsys.readouterr().err
 
 
 class TestLargeSelection:

@@ -65,6 +65,20 @@ class TestLoadScenario:
         text = json.dumps(engine.dump_scenario(mono4))
         assert engine.load_scenario(text) == mono4
 
+    def test_power_scale_under_normalized_total_rejected(self):
+        doc = {"nodes": [{"id": "a", "position": [0, 0]},
+                         {"id": "b", "position": [5, 5], "power_scale": 0.5}],
+               "power_policy": "normalized_total"}
+        with pytest.raises(ScenarioFormatError, match=r"nodes\[1\] \('b'\): power_scale"):
+            engine.load_scenario(doc)
+        doc["power_policy"] = "fixed_per_node"
+        assert engine.load_scenario(doc).nodes[1].power_scale == 0.5
+
+    def test_normalized_scenario_dumps_without_power_scale(self, mono4):
+        doc = engine.dump_scenario(engine.normalize_power(mono4))
+        assert not any("power_scale" in nd for nd in doc["nodes"])
+        assert engine.load_scenario(doc) == mono4
+
     def test_constellation_names_and_points(self):
         s = engine.load_scenario(
             '{"params": {"constellation": "16qam"}, '
@@ -202,6 +216,14 @@ class TestSweep:
         standalone = engine.normalize_power(
             replace(mono4, params=replace(mono4.params, frac_subcarriers=0.5)))
         assert rows[0][3] == bounds.network_peb(standalone, t)
+
+    @pytest.mark.parametrize("parameter, value", [("n_rx_ant", math.nan), ("n_rx_ant", math.inf),
+                                                  ("frac_symbols", -math.inf),
+                                                  ("n_rx_ant", 2.5)])
+    def test_non_finite_or_fractional_value_rejected(self, mono4, parameter, value):
+        t = TargetState(position=(70.0, 56.0))
+        with pytest.raises(ScenarioFormatError, match="finite|integers"):
+            engine.sweep(mono4, t, parameter, [8, value])
 
     def test_unknown_parameter(self, mono4):
         with pytest.raises(ScenarioFormatError):
