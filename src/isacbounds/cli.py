@@ -191,9 +191,8 @@ def _run_link(args) -> int:
                 doa_deg=math.degrees(g.doa_local),
                 snr_db=10.0 * math.log10(snr["snr"]),
                 snr_postdiv_db=10.0 * math.log10(snr["snr_postdiv"]),
-                **crlbs,
+                flag="", **crlbs,
             )
-            row["flag"] = ""
         except BoundsError as exc:
             row.update(range_tx_m=math.nan, range_rx_m=math.nan, doa_deg=math.nan,
                        snr_db=math.nan, snr_postdiv_db=math.nan, flag=str(exc))
@@ -237,11 +236,9 @@ def _run_veb(args) -> int:
 
 
 def _run_heatmap(args) -> int:
-    s = _load_scenario(args.scenario)
-    grid = _parse_grid(args.grid)
-    metric = args.metric
-    cells = engine.heatmap(s, grid, metric, _mc_from_args(args), rcs=args.rcs)
-    rows = [{"x": x, "y": y, "metric": metric, "value": v, "flag": f}
+    cells = engine.heatmap(_load_scenario(args.scenario), _parse_grid(args.grid), args.metric,
+                           _mc_from_args(args), rcs=args.rcs)
+    rows = [{"x": x, "y": y, "metric": args.metric, "value": v, "flag": f}
             for (x, y, v, f) in cells]
     emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
     return 0
@@ -262,30 +259,26 @@ def _run_sweep(args) -> int:
     return 0
 
 
-def _run_select_bs(args) -> int:
-    s = _load_scenario(args.scenario)
-    problem = engine.SelectionProblem(
-        scenario=s, choose=args.choose, metric=args.metric,
-        target=_parse_pair(args.target, "--target"), mc=_mc_from_args(args))
-    result = engine.select_nodes(problem)
-    rows = [{"rank": i + 1, "nodes": "+".join(ids), "metric": args.metric,
+def _emit_ranking(args, result: engine.SelectionResult, column: str) -> int:
+    """Emit a selection ranking, each subset's node ids joined with '+'."""
+    rows = [{"rank": i + 1, column: "+".join(ids), "metric": args.metric,
              "value": value, "selected": int(ids == result.best)}
             for i, (ids, value) in enumerate(result.ranking)]
-    emit_table(rows, ["rank", "nodes", "metric", "value", "selected"],
-               args.format, args.output)
+    emit_table(rows, ["rank", column, "metric", "value", "selected"], args.format, args.output)
     return 0
+
+
+def _run_select_bs(args) -> int:
+    problem = engine.SelectionProblem(
+        scenario=_load_scenario(args.scenario), choose=args.choose, metric=args.metric,
+        target=_parse_pair(args.target, "--target"), mc=_mc_from_args(args))
+    return _emit_ranking(args, engine.select_nodes(problem), "nodes")
 
 
 def _run_select_tx(args) -> int:
-    s = _load_scenario(args.scenario)
-    result = engine.select_tx(s, _parse_pair(args.target, "--target"),
+    result = engine.select_tx(_load_scenario(args.scenario), _parse_pair(args.target, "--target"),
                               args.metric, _mc_from_args(args))
-    rows = [{"rank": i + 1, "tx": ids[0], "metric": args.metric,
-             "value": value, "selected": int(ids == result.best)}
-            for i, (ids, value) in enumerate(result.ranking)]
-    emit_table(rows, ["rank", "tx", "metric", "value", "selected"],
-               args.format, args.output)
-    return 0
+    return _emit_ranking(args, result, "tx")
 
 
 def _run_validate(args) -> int:

@@ -193,6 +193,8 @@ def _parse_constellation(value, where: str) -> ConstellationSpec:
 
 
 def _parse_params(doc: dict, where: str) -> SystemParams:
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(f"{where}: expected an object")
     kwargs = {}
     for key, value in doc.items():
         if key == "constellation":
@@ -213,6 +215,8 @@ def _parse_params(doc: dict, where: str) -> SystemParams:
 
 
 def _parse_node(doc: dict, where: str, policy: str) -> Node:
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(f"{where}: expected an object")
     known = {"id", "position", "orientation_deg", "role", "tx_id", "power_scale"}
     for key in doc:
         if key not in known:
@@ -349,10 +353,11 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
 
 def velocity_metrics(s: Scenario, position, mc: McConfig, cell_index=0, rcs: float = 1.0):
     """Both velocity metrics at an (n, 2) block of positions with n cell
-    indices, from one set of heading draws: ({"veb": values,
-    "crlb_heading": values}, flags), (n,) arrays and a list of n flag
-    tuples. Each value is the mean over the draws of the cell's substream
-    (_draw_mean); a cell with singular draws is flagged with their count.
+    indices, from one set of heading draws; power must already be
+    normalized. Returns ({"veb": values, "crlb_heading": values}, flags),
+    (n,) arrays and a list of n flag tuples. Each value is the mean over the
+    draws of the cell's substream, +inf if any draw is singular
+    (_draw_mean), and such a cell is flagged with the singular draw count.
     The block's per-position table is built once and the headings drawn
     slice by slice (see the module docstring)."""
     table = bounds.velocity_table(s, position, rcs)
@@ -366,6 +371,7 @@ def velocity_metrics(s: Scenario, position, mc: McConfig, cell_index=0, rcs: flo
         for metric, mean in means.items():
             mean[a:a + step] = _draw_mean(res[metric], res["singular"])
         n_bad[a:a + step] = res["singular"].sum(axis=1)
+        del res  # the slice's per-draw arrays, before the next slice is drawn
     return means, table.flags(draws=(n_bad, mc.draws))
 
 
@@ -421,11 +427,11 @@ def sweep(s: Scenario, t: TargetState, parameter: str, values, metric: str = "pe
         raise ScenarioFormatError(
             f"unknown sweep parameter {parameter!r} (expected one of {SWEEP_PARAMETERS})")
     values = list(values)
+    kind = "integers" if parameter == "n_rx_ant" else "numbers"
     for value in values:
-        if not math.isfinite(value):
-            raise ScenarioFormatError(f"sweep values must be finite, got {value!r}")
-        if parameter == "n_rx_ant" and not float(value).is_integer():
-            raise ScenarioFormatError(f"n_rx_ant sweep values must be integers, got {value!r}")
+        if not math.isfinite(value) or (kind == "integers" and value != int(value)):
+            raise ScenarioFormatError(
+                f"{parameter} sweep values must be finite {kind}, got {value!r}")
     mc = mc or McConfig()
     rows = []
     for value in values:

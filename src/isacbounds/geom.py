@@ -81,11 +81,12 @@ def render_flags(labels, codes: np.ndarray, cells=(), draws=None) -> list[tuple[
     then each cell code where its mask is set and SINGULAR_DRAWS where its
     count is positive; a position where no link is used gets NO_INFORMATION
     alone."""
-    count, n_draws = (np.zeros(codes.shape[1], dtype=int), 0) if draws is None else draws
     unused = codes != OK
-    flagged = unused.any(axis=0) | (count > 0)
+    flagged = unused.any(axis=0)
     for _, mask in cells:
         flagged |= mask
+    count, n_draws = (np.zeros(codes.shape[1], dtype=int), 0) if draws is None else draws
+    flagged |= count > 0
     flags = [()] * codes.shape[1]
     for i in np.flatnonzero(flagged).tolist():
         if unused[:, i].all():

@@ -316,10 +316,11 @@ class TestNonFiniteArguments:
 
 
     @pytest.mark.parametrize("parameter, values, message", [
-        ("n_rx_ant", "nan", "sweep values must be finite, got nan"),
-        ("n_rx_ant", "8,1e400", "sweep values must be finite, got inf"),
-        ("n_rx_ant", "8,2.5", "n_rx_ant sweep values must be integers, got 2.5"),
-        ("frac_subcarriers", "0.2,-inf", "sweep values must be finite, got -inf"),
+        ("n_rx_ant", "nan", "n_rx_ant sweep values must be finite integers, got nan"),
+        ("n_rx_ant", "8,1e400", "n_rx_ant sweep values must be finite integers, got inf"),
+        ("n_rx_ant", "8,2.5", "n_rx_ant sweep values must be finite integers, got 2.5"),
+        ("frac_subcarriers", "0.2,-inf",
+         "frac_subcarriers sweep values must be finite numbers, got -inf"),
     ])
     def test_sweep_values(self, parameter, values, message, capsys):
         assert run(["sweep", "--scenario", MONO4, "--target", "30,30",

@@ -45,7 +45,8 @@ coords = st.integers(-2, 8) | st.floats(-2.0, 8.0)
 @st.composite
 def documents(draw):
     """A shipped scenario, or a generated network whose document has, one
-    time in three, a node or radio value replaced by a malformed one."""
+    time in three, a node or radio value, a node or the params replaced by
+    a malformed one."""
     if draw(st.booleans()):
         return json.loads((SCENARIO_DIR / draw(st.sampled_from(
             ["mono2.json", "mono4.json", "multistatic2.json", "multistatic3.json"]))).read_text())
@@ -53,9 +54,14 @@ def documents(draw):
     if draw(st.integers(0, 2)) == 0:
         value = draw(st.sampled_from(BAD_VALUES))
         key = draw(st.sampled_from(("position", "orientation_deg", "power_scale", "carrier_freq",
-                                    "n_rx_ant", "frac_subcarriers", "total_power")))
+                                    "n_rx_ant", "frac_subcarriers", "total_power", "node",
+                                    "params")))
         if key in ("carrier_freq", "n_rx_ant", "frac_subcarriers", "total_power"):
             doc["params"][key] = value
+        elif key == "params":  # not an object
+            doc["params"] = [value]
+        elif key == "node":
+            doc["nodes"][0] = value
         else:
             node = draw(st.sampled_from(doc["nodes"]))
             node[key] = [value, 1.0] if key == "position" else value

@@ -11,8 +11,9 @@ the bounds depend on the geometry only through distances and angles, so:
   VEB of the same links.
 
 Targets sit at fractional offsets (0.37, 0.61) from the integer points the
-nodes sit on, so no target lies on or next to a node or a tx-rx baseline,
-where a bound changes discontinuously.
+nodes sit on: every line through two such points (a tx-rx baseline among
+them) passes more than 1 mm from every target, so no target lies on or
+next to a node or a baseline, where a bound changes discontinuously.
 """
 import math
 from dataclasses import replace
@@ -134,15 +135,3 @@ def test_exact_veb_never_exceeds_rank_one_veb(s, pos, vel):
     if math.isfinite(rank_one):
         assert exact <= rank_one * (1.0 + REL)
 
-
-def test_targets_keep_off_lines_through_node_points():
-    """Every line through two of the integer points the nodes sit on (a
-    tx-rx baseline among them) passes more than 1 mm from every target."""
-    for dx in range(-7, 8):
-        for dy in range(8):
-            if math.gcd(dx, dy) != 1:
-                continue
-            for x, y in np.ndindex(8, 8):
-                # offset of the target from the nearest such line, times |d|
-                cross = ((x - 1 + 0.37) * dy - (y - 1 + 0.61) * dx) % 1.0
-                assert min(cross, 1.0 - cross) / math.hypot(dx, dy) > 1e-3
