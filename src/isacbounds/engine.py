@@ -343,7 +343,7 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
         report = bounds.evaluate_bounds(s, TargetState(position=xy, rcs=rcs))
         values, flags = report.peb, report.flags
     else:
-        means, flags = velocity_metrics(s, xy, mc, cell_index, rcs)
+        means, flags = velocity_metrics(s, xy, mc, cell_index, rcs, (metric,))
         values = means[metric]
     flags = [";".join(f) for f in flags]
     if np.ndim(position) == 2:
@@ -351,19 +351,20 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
     return float(values[0]), flags[0]
 
 
-def velocity_metrics(s: Scenario, position, mc: McConfig, cell_index=0, rcs: float = 1.0):
-    """Both velocity metrics at an (n, 2) block of positions with n cell
-    indices, from one set of heading draws; power must already be
-    normalized. Returns ({"veb": values, "crlb_heading": values}, flags),
-    (n,) arrays and a list of n flag tuples. Each value is the mean over the
-    draws of the cell's substream, +inf if any draw is singular
-    (_draw_mean), and such a cell is flagged with the singular draw count.
-    The block's per-position table is built once and the headings drawn
-    slice by slice (see the module docstring)."""
+def velocity_metrics(s: Scenario, position, mc: McConfig, cell_index=0, rcs: float = 1.0,
+                     metrics=("veb", "crlb_heading")):
+    """Velocity metrics at an (n, 2) block of positions with n cell
+    indices, all from one set of heading draws; power must already be
+    normalized. Returns ({metric: values}, flags), (n,) arrays and a list of
+    n flag tuples. Each value is the mean over the draws of the cell's
+    substream, +inf if any draw is singular (_draw_mean), and such a cell is
+    flagged with the singular draw count. The block's per-position table is
+    built once and the headings drawn slice by slice (see the module
+    docstring)."""
     table = bounds.velocity_table(s, position, rcs)
     cells = np.reshape(cell_index, -1).tolist()
     step = _slice_cells(mc)
-    means = {metric: np.empty(len(table)) for metric in METRICS[1:]}
+    means = {metric: np.empty(len(table)) for metric in metrics}
     n_bad = np.empty(len(table), dtype=int)
     for a in range(0, len(table), step):
         headings = np.array([mc.headings(i) for i in cells[a:a + step]])

@@ -82,6 +82,8 @@ def render_flags(labels, codes: np.ndarray, cells=(), draws=None) -> list[tuple[
     count is positive; a position where no link is used gets NO_INFORMATION
     alone."""
     unused = codes != OK
+    if not (cells or draws is not None or unused.any()):  # the common case: nothing to flag
+        return [()] * codes.shape[1]
     flagged = unused.any(axis=0)
     for _, mask in cells:
         flagged |= mask
