@@ -347,15 +347,11 @@ def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np
                                                         *t.velocity)))
 
 
-def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams,
-                     snr=None, doa=None) -> np.ndarray:
+def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
     """4x4 information over (x, y, vx, vy) of one link at one target
-    position, global frame, from its SNR and local DoA there ((1,) arrays,
-    computed when not given)."""
-    if snr is None:
-        lc = _scalar_constants(link, t, p)
-        snr, doa = lc.snr, lc.geometry.doa_local
-    e3 = np.diag([v[0] for v in efim_diagonal(p, snr, doa)])
+    position, global frame."""
+    lc = _scalar_constants(link, t, p)
+    e3 = np.diag([v[0] for v in efim_diagonal(p, lc.snr, lc.geometry.doa_local)])
     if link.kind == "monostatic":
         j = geom.jac_mono_state(link.rx, t, p.wavelength)
     else:
@@ -378,7 +374,6 @@ class LinkTable:
     status: np.ndarray           # (L, n) geom status codes
     used: np.ndarray             # (L, n) where the status is OK
     snr: np.ndarray              # (L, n) per-antenna SNR before symbol division
-    doa: np.ndarray              # (L, n) local DoA at the rx
     position: np.ndarray         # (L, 3, n) position information (xx, xy, yy)
     velocity: np.ndarray | None  # (L, 12, n, 1) _velocity_terms, if built
 
@@ -387,7 +382,7 @@ class LinkTable:
 
     def __getitem__(self, rows: slice) -> "LinkTable":
         return LinkTable(self.links, self.status[:, rows], self.used[:, rows],
-                         self.snr[:, rows], self.doa[:, rows], self.position[:, :, rows],
+                         self.snr[:, rows], self.position[:, :, rows],
                          None if self.velocity is None else self.velocity[:, :, rows])
 
     def flags(self, cells=(), draws=None, used=None) -> list[tuple[str, ...]]:
@@ -404,18 +399,18 @@ def _link_rows(p: SystemParams, links, t: TargetState, velocity: bool = False) -
     target; with the velocity terms if velocity is set."""
     n = len(t.position)
     status = np.empty((len(links), n), dtype=np.int8)
-    snr, doa = np.empty((2, len(links), n))
+    snr = np.empty((len(links), n))
     position = np.zeros((len(links), 3, n))
     terms = np.zeros((len(links), len(VELOCITY_TERMS), n, 1)) if velocity else None
     for i, link in enumerate(links):
         lc = link_constants(link, t, p)
-        status[i], snr[i], doa[i] = lc.status, lc.snr, lc.geometry.doa_local
+        status[i], snr[i] = lc.status, lc.snr
         used = lc.status == geom.OK
         if used.any():
             position[i] = np.where(used, _position_info(p, link, lc, t), 0.0)
         if velocity:
             terms[i] = _velocity_terms(p, link, lc, used)
-    return LinkTable(tuple(links), status, status == geom.OK, snr, doa, position, terms)
+    return LinkTable(tuple(links), status, status == geom.OK, snr, position, terms)
 
 
 def _link_table(s: Scenario, t: TargetState, velocity: bool = False) -> LinkTable:
@@ -537,13 +532,6 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     return crlb_speed, crlb_heading, singular
 
 
-def _velocity_bounds(total, t: TargetState):
-    """(veb, heading CRLB, singular) arrays of a moving target from its
-    summed velocity information."""
-    crlb_speed, crlb_heading, singular = _polar_crlbs(*total, t.speed, _heading_trig(t.heading))
-    return np.sqrt(crlb_speed), crlb_heading, singular
-
-
 def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     """Velocity error bound and heading CRLB from per-link rank-one pieces.
 
@@ -553,8 +541,8 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
     table, _, _, total = _network_sums(s, t)
-    veb, crlb_heading, singular = _velocity_bounds(total, t)
-    return {"veb": float(veb[0]), "crlb_heading": float(crlb_heading[0]),
+    crlb_speed, crlb_heading, singular = _polar_crlbs(*total, t.speed, _heading_trig(t.heading))
+    return {"veb": float(np.sqrt(crlb_speed)[0]), "crlb_heading": float(crlb_heading[0]),
             "velocity_efim": _matrix(*total[:, 0]),
             "flags": table.flags([(geom.VELOCITY_SINGULAR, singular)])[0]}
 
@@ -576,9 +564,9 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     if not kept.any():
         geom.raise_status(geom.NO_INFORMATION)
     total = np.zeros((4, 4))
-    for link, snr, doa, keep in zip(table.links, table.snr, table.doa, kept[:, 0]):
+    for link, keep in zip(table.links, kept[:, 0]):
         if keep:
-            total += _link_state_info(link, t, s.params, snr, doa)
+            total += _link_state_info(link, t, s.params)
     i_p, i_pv, i_v = total[:2, :2], total[:2, 2:], total[2:, 2:]
     veb, code = math.inf, geom.POSITION_SINGULAR
     if not _singular(i_p[0, 0] * i_p[1, 1] - i_p[0, 1] * i_p[1, 0], i_p[0, 0], i_p[1, 1]):
@@ -608,7 +596,9 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
     cells = [(geom.POSITION_SINGULAR, np.isinf(peb))]
     veb = crlb_heading = None
     if vel is not None:
-        veb, crlb_heading, singular = _velocity_bounds(vel_total, t)
+        crlb_speed, crlb_heading, singular = _polar_crlbs(*vel_total, t.speed,
+                                                          _heading_trig(t.heading))
+        veb = np.sqrt(crlb_speed)
         cells.append((geom.VELOCITY_SINGULAR, singular))
     flags = table.flags(cells)
     snr_db = np.where(_no_constants(table.status), math.nan, 10.0 * np.log10(table.snr))

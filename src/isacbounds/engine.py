@@ -19,10 +19,10 @@ _CHUNK_BYTES, in whole slices: 84 cells of a 4-link scenario. Its cells are
 walked in slices that keep the per-draw arrays (cells x heading draws) within
 _CHUNK_BYTES, 4 cells at 1,000 draws, and each slice is reduced to its
 per-cell means and singular draw count before the next is drawn
-(velocity_metrics, which yields both velocity metrics from the same draws).
-Monte-Carlo heading draws use one counter-based substream per grid cell
-(seeded by the cell index), so results are bit-identical for a given seed
-whatever the block and slice sizes. Building the per-position table once per
+(velocity_metrics, which yields each velocity metric asked for from the same
+draws). Monte-Carlo heading draws use one counter-based substream per grid
+cell (seeded by the cell index), so results are bit-identical for a given
+seed whatever the block and slice sizes. Building the per-position table once per
 block rather than once per 4-cell slice took a benchmark VEB map job (43 x 43
 cells at 1,000 draws, through the CLI) from 0.562 s to 0.327 s (perfbench
 map_veb, medians of 10 alternating pairs on a 2-CPU VM).

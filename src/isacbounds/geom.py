@@ -81,15 +81,12 @@ def render_flags(labels, codes: np.ndarray, cells=(), draws=None) -> list[tuple[
     then each cell code where its mask is set and SINGULAR_DRAWS where its
     count is positive; a position where no link is used gets NO_INFORMATION
     alone."""
-    unused = codes != OK
-    if not (cells or draws is not None or unused.any()):  # the common case: nothing to flag
-        return [()] * codes.shape[1]
-    flagged = unused.any(axis=0)
-    for _, mask in cells:
-        flagged |= mask
-    count, n_draws = (np.zeros(codes.shape[1], dtype=int), 0) if draws is None else draws
-    flagged |= count > 0
     flags = [()] * codes.shape[1]
+    unused = codes != OK
+    if not (cells or draws or unused.any()):  # the common case: nothing to flag
+        return flags
+    count, n_draws = draws or (np.zeros(codes.shape[1], dtype=int), 0)
+    flagged = np.logical_or.reduce([unused.any(axis=0), count > 0] + [m for _, m in cells])
     for i in np.flatnonzero(flagged).tolist():
         if unused[:, i].all():
             flags[i] = (CODES[NO_INFORMATION][2],)
