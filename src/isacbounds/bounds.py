@@ -12,8 +12,8 @@ the per-link primitive, link_constants (a link's SNR, local DoA, ranges,
 target offsets, bistatic observables and position Jacobian as (n,) arrays,
 with a geom status per position), and keeps per link and position the
 status, whether the link is used (status OK), and its information: the
-position information and, when a velocity bound asks for them, the
-velocity terms, both zero where the link is unused. A bound adds the rows
+position information and the velocity terms, each built only for a bound
+that reads it and zero where the link is unused. A bound adds the rows
 in link order from zero and inverts the sums as a stack. A degenerate
 position is flagged, not raised, so that coverage maps can render
 degenerate regions: geom.render_flags turns the table's status codes and a
@@ -374,16 +374,17 @@ class LinkTable:
     status: np.ndarray           # (L, n) geom status codes
     used: np.ndarray             # (L, n) where the status is OK
     snr: np.ndarray              # (L, n) per-antenna SNR before symbol division
-    position: np.ndarray         # (L, 3, n) position information (xx, xy, yy)
+    position: np.ndarray | None  # (L, 3, n) position information (xx, xy, yy), if built
     velocity: np.ndarray | None  # (L, 12, n, 1) _velocity_terms, if built
 
     def __len__(self) -> int:
         return self.status.shape[1]
 
     def __getitem__(self, rows: slice) -> "LinkTable":
-        return LinkTable(self.links, self.status[:, rows], self.used[:, rows],
-                         self.snr[:, rows], self.position[:, :, rows],
-                         None if self.velocity is None else self.velocity[:, :, rows])
+        def cut(stack):
+            return None if stack is None else stack[:, :, rows]
+        return LinkTable(self.links, self.status[:, rows], self.used[:, rows], self.snr[:, rows],
+                         cut(self.position), cut(self.velocity))
 
     def flags(self, cells=(), draws=None, used=None) -> list[tuple[str, ...]]:
         """geom.render_flags of the positions: the status of every link
@@ -394,29 +395,32 @@ class LinkTable:
                                  cells, draws)
 
 
-def _link_rows(p: SystemParams, links, t: TargetState, velocity: bool = False) -> LinkTable:
+def _link_rows(p: SystemParams, links, t: TargetState, position: bool = True,
+               velocity: bool = False) -> LinkTable:
     """The LinkTable of the given links at the n positions of a block
-    target; with the velocity terms if velocity is set."""
+    target, with the position information and the velocity terms where
+    position and velocity are set."""
     n = len(t.position)
     status = np.empty((len(links), n), dtype=np.int8)
     snr = np.empty((len(links), n))
-    position = np.zeros((len(links), 3, n))
+    info = np.zeros((len(links), 3, n)) if position else None
     terms = np.zeros((len(links), len(VELOCITY_TERMS), n, 1)) if velocity else None
     for i, link in enumerate(links):
         lc = link_constants(link, t, p)
         status[i], snr[i] = lc.status, lc.snr
         used = lc.status == geom.OK
-        if used.any():
-            position[i] = np.where(used, _position_info(p, link, lc, t), 0.0)
+        if position and used.any():
+            info[i] = np.where(used, _position_info(p, link, lc, t), 0.0)
         if velocity:
             terms[i] = _velocity_terms(p, link, lc, used)
-    return LinkTable(tuple(links), status, status == geom.OK, snr, position, terms)
+    return LinkTable(tuple(links), status, status == geom.OK, snr, info, terms)
 
 
-def _link_table(s: Scenario, t: TargetState, velocity: bool = False) -> LinkTable:
+def _link_table(s: Scenario, t: TargetState, position: bool = True,
+                velocity: bool = False) -> LinkTable:
     """_link_rows over all sensing links of a scenario; a target with one
     position that no link informs raises NoInformationError."""
-    table = _link_rows(s.params, sensing_links(s), _block(t), velocity)
+    table = _link_rows(s.params, sensing_links(s), _block(t), position, velocity)
     if np.ndim(t.position) < 2 and not table.used.any():
         geom.raise_status(geom.NO_INFORMATION)
     return table
@@ -450,7 +454,7 @@ def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -
     (L + 1, 3, D) array. An unused link and the extra last row are zero, so
     a subset that adds its links' rows, in link order and from zero, gets
     exactly the sums of the network bounds."""
-    table = _link_rows(p, links, _block(t), velocity=vx is not None)
+    table = _link_rows(p, links, _block(t), position=vx is None, velocity=vx is not None)
     info = table.position[:, :, 0] if vx is None else _velocity_rows(p, table, vx, vy)[:, :, 0]
     return np.concatenate([info, np.zeros((1,) + info.shape[1:])])
 
@@ -559,7 +563,7 @@ def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    table = _link_rows(s.params, sensing_links(s), _block(t))
+    table = _link_rows(s.params, sensing_links(s), _block(t), position=False)
     kept = ~_no_constants(table.status)
     if not kept.any():
         geom.raise_status(geom.NO_INFORMATION)
@@ -622,10 +626,11 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
 
 
 def velocity_table(s: Scenario, position, rcs: float = 1.0) -> LinkTable:
-    """The LinkTable, with velocity terms, of a scenario at an (n, 2) block
-    of positions, or at one position (a block of one), where no link
-    informing it raises NoInformationError."""
-    return _link_table(s, TargetState(position=position, rcs=rcs), velocity=True)
+    """The LinkTable of a scenario, with the velocity terms and without the
+    position information, at an (n, 2) block of positions, or at one
+    position (a block of one), where no link informing it raises
+    NoInformationError."""
+    return _link_table(s, TargetState(position=position, rcs=rcs), position=False, velocity=True)
 
 
 def _velocity_sums(p: SystemParams, table: LinkTable, vx, vy):
