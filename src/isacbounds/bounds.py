@@ -606,8 +606,8 @@ def evaluate_bounds(s: Scenario, t: TargetState) -> BoundReport:
         cells.append((geom.VELOCITY_SINGULAR, singular))
     flags = table.flags(cells)
     snr_db = np.where(_no_constants(table.status), math.nan, 10.0 * np.log10(table.snr))
-    info, block = tuple, np.ndim(t.position) == 2
-    if not block:  # one position: scalars and 2x2 matrices
+    info = tuple  # a link's (3, n) information rows as per_node holds them
+    if np.ndim(t.position) < 2:  # one position: scalars and 2x2 matrices
         peb, veb, crlb_heading = (None if v is None else float(v[0])
                                   for v in (peb, veb, crlb_heading))
         pos_total, vel_total = pos_total[:, 0], None if vel is None else vel_total[:, 0]
