@@ -12,18 +12,18 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from isacbounds import GridSpec, McConfig, heatmap, load_scenario
-from isacbounds.cli import emit_table
+from isacbounds.cli import emit_table, map_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--step", type=float, default=1.0, help="grid step in m")
     ap.add_argument("--draws", type=int, default=1000, help="Monte-Carlo heading draws")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default=str(ROOT / "results"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -34,12 +34,9 @@ def main() -> int:
         scenario = load_scenario((ROOT / "scenarios" / f"{name}.json").read_text())
         for metric in ("peb", "veb"):
             t0 = time.time()
-            rows = heatmap(scenario, grid, metric, mc)
+            result = heatmap(scenario, grid, metric, mc)
             path = outdir / f"heatmap_{name}_{metric}.csv"
-            emit_table(
-                [{"x": x, "y": y, "metric": metric, "value": v, "flag": f}
-                 for (x, y, v, f) in rows],
-                ["x", "y", "metric", "value", "flag"], "csv", str(path))
+            emit_table(map_table(result, metric), "csv", str(path))
             print(f"{path} ({time.time() - t0:.1f} s)")
     return 0
 

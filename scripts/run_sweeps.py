@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from isacbounds import McConfig, TargetState, load_scenario, sweep
-from isacbounds.cli import emit_table
+from isacbounds.cli import emit_table, sweep_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -26,19 +26,16 @@ def run(outdir, scenario_name, target, parameter, values, metric, mc) -> None:
     scenario = load_scenario((ROOT / "scenarios" / f"{scenario_name}.json").read_text())
     rows = sweep(scenario, TargetState(position=target), parameter, values, metric, mc)
     path = outdir / f"sweep_{scenario_name}_{metric}_{parameter}.csv"
-    emit_table(
-        [{"parameter": p, "value": v, "metric": m, "metric_value": mv, "flag": f}
-         for (p, v, m, mv, f) in rows],
-        ["parameter", "value", "metric", "metric_value", "flag"], "csv", str(path))
+    emit_table(sweep_table(parameter, rows), "csv", str(path))
     print(path)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--draws", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default=str(ROOT / "results"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,9 @@ in link order from zero and inverts the sums as a stack. A degenerate
 position is flagged, not raised, so that coverage maps can render
 degenerate regions: geom.render_flags turns the table's status codes and a
 bound's cell codes into flag strings, which are made only by the public
-bounds and their callers.
+bounds and their callers. heading_velocity_metrics leaves the flags of a
+velocity_table it is handed to its caller (engine.velocity_metrics renders
+a block's once, with the singular-draw counts).
 
 The rank-one velocity piece kn * w w^T is computed in two halves: the
 factors that do not depend on the velocity, per position (_velocity_terms,
@@ -658,19 +660,22 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
     is (n, D) (or (D,), shared), the results are (n, D) arrays and flags a
     list of n tuples; a position that no link informs is singular
     throughout and gets the one flag of geom.NO_INFORMATION, where one position
-    raises NoInformationError.
+    raises NoInformationError. Given a velocity_table, whose caller renders
+    the flags it wants (LinkTable.flags), flags holds the table's status
+    codes unrendered, one row of L per position: (n, L).
     """
     if speed <= 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
     if isinstance(position, LinkTable):
-        table, block = position, True
+        table, block, flags = position, True, position.status.T
     else:
         table, block = velocity_table(s, position, rcs), np.ndim(position) == 2
+        flags = table.flags()
     trig = _heading_trig(np.atleast_2d(np.asarray(headings, dtype=float)))
     total = _velocity_sums(s.params, table, speed * trig[0], speed * trig[1])
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, speed, trig)
     res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
-           "singular": singular, "flags": table.flags()}
+           "singular": singular, "flags": flags}
     if block:
         return res
     return {key: value[0] for key, value in res.items()}

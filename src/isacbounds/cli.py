@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Every verb writes its output through one writer, emit_table, as CSV or
+JSON. It takes a Table of named columns, not rows: each column is formatted
+in one pass ('{:.9g}' over a float column), and a column given per distinct
+value (a map's grid coordinates, a constant metric name) formats each of
+its values once. Rows are made only as the csv writer streams them.
+
 Exit codes: 0 success, 1 a validation check failed (validate), 2 usage or
 malformed input, 3 I/O failure, 4 computation infeasible (no information or
 no feasible subset).
@@ -12,6 +18,10 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from . import bounds, engine, validation
 from .errors import (
@@ -28,34 +38,86 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+class Column(NamedTuple):
+    """One output column. values holds a value per row or, given index, one
+    per distinct value, index[row] being the position of the row's value
+    (-1: a blank cell), so each distinct value is formatted once. A float
+    column is written '{:.9g}' (inf and nan as such; in JSON a number, or
+    null where not finite, which flags the row); any other value with str
+    (in JSON as it is). A blank cell is written empty, null in JSON."""
+
+    values: Sequence
+    floats: bool = False
+    index: Sequence[int] | None = None
 
 
-def _json_value(value):
-    if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return None
-        return float(f"{value:.9g}")
+def constant(value, n_rows: int, floats: bool = False) -> Column:
+    """A column holding one value in every row."""
+    return Column([value], floats, [0] * n_rows)
+
+
+class Table:
+    """Named columns of one length, in output order: what emit_table writes.
+    len() is the row count."""
+
+    def __init__(self, columns: dict[str, Column]):
+        lengths = {len(col.values if col.index is None else col.index)
+                   for col in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of different lengths: {sorted(lengths)}")
+        self.columns = columns
+        self.n_rows = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+
+_FLOAT = "{:.9g}".format
+
+
+def _cells(col: Column, fn, blank):
+    """fn of each of a column's values, once per distinct value, per row."""
+    values = col.values.tolist() if isinstance(col.values, np.ndarray) else col.values
+    done = list(map(fn, values))
+    if col.index is None:
+        return done
+    done.append(blank)  # index -1
+    return map(done.__getitem__, col.index)
+
+
+def _json_float(value):
+    return float(_FLOAT(value)) if math.isfinite(value) else None
+
+
+def _records(table: Table) -> list[dict]:
+    """JSON records of a table's rows; a row with a non-finite float
+    (outside its "flag" column) and no flag gets the flag "infinite"."""
+    names = list(table.columns)
+    cols = [_cells(col, _json_float if col.floats else _identity, None)
+            for col in table.columns.values()]
+    records = [dict(zip(names, row)) for row in zip(*cols)]
+    bad = [_cells(col, _not_finite, False)
+           for name, col in table.columns.items() if col.floats and name != "flag"]
+    for rec, row_bad in zip(records, zip(*bad)):
+        if any(row_bad) and not rec.get("flag"):
+            rec["flag"] = "infinite"
+    return records
+
+
+def _identity(value):
     return value
 
 
-def emit_table(rows: list[dict], columns: list[str], fmt: str, path: str | None) -> None:
-    """Write rows as CSV (header + 9-significant-digit floats, inf literal;
-    fields holding a comma or quote are quoted) or JSON (records; non-finite
-    values become null and raise the flag)."""
-    if fmt == "json":
-        records = []
-        for row in rows:
-            rec = {col: _json_value(row.get(col)) for col in columns}
-            nonfinite = any(
-                rec[col] is None and isinstance(row.get(col), float)
-                for col in columns if col != "flag")
-            if nonfinite and not rec.get("flag"):
-                rec["flag"] = "infinite"
-            records.append(rec)
+def _not_finite(value) -> bool:
+    return not math.isfinite(value)
+
+
+def emit_table(table: Table, fmt: str, path: str | None) -> None:
+    """Write a table as CSV (header + 9-significant-digit floats, inf
+    literal; fields holding a comma or quote are quoted) or JSON (records;
+    non-finite values become null and raise the flag). Each column is
+    formatted in one pass, each distinct value once (see Column)."""
+    records = _records(table) if fmt == "json" else None
     out = (contextlib.nullcontext(sys.stdout) if path is None
            else open(path, "w", encoding="utf-8", newline=""))
     with out as fh:
@@ -63,8 +125,34 @@ def emit_table(rows: list[dict], columns: list[str], fmt: str, path: str | None)
             fh.write(json.dumps(records, indent=2) + "\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([_fmt(row.get(col, "")) for col in columns] for row in rows)
+            writer.writerow(table.columns)
+            writer.writerows(zip(*(_cells(col, _FLOAT if col.floats else str, "")
+                                   for col in table.columns.values())))
+
+
+def map_table(result: engine.Heatmap, metric: str) -> Table:
+    """The x, y, metric, value, flag table of a heatmap, each grid
+    coordinate formatted once."""
+    nx, ny = len(result.xs), len(result.ys)
+    return Table({
+        "x": Column(result.xs, True, list(range(nx)) * ny),
+        "y": Column(result.ys, True, np.repeat(np.arange(ny), nx).tolist()),
+        "metric": constant(metric, nx * ny),
+        "value": Column(result.values, True),
+        "flag": Column(result.flags),
+    })
+
+
+def sweep_table(parameter: str, rows) -> Table:
+    """The table of engine.sweep's rows; n_rx_ant values are integers."""
+    params, values, metrics, metric_values, flags = list(zip(*rows)) or [()] * 5
+    return Table({
+        "parameter": Column(params),
+        "value": Column(values, floats=parameter != "n_rx_ant"),
+        "metric": Column(metrics),
+        "metric_value": Column(metric_values, True),
+        "flag": Column(flags),
+    })
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -176,39 +264,54 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_LINK_MEASURES = ("range_tx_m", "range_rx_m", "doa_deg", "snr_db", "snr_postdiv_db")
+_LINK_CRLBS = ("crlb_alpha", "crlb_phi", "crlb_fd", "crlb_tau", "crlb_theta", "crlb_range",
+               "crlb_bistatic_range")
+
+
 def _run_link(args) -> int:
     s = engine.normalize_power(_load_scenario(args.scenario))
     t = TargetState(position=_parse_pair(args.target, "--target"), rcs=args.rcs)
-    rows = []
-    for lk in bounds.sensing_links(s):
-        row = {"node": lk.node_id, "kind": lk.kind}
+    links = bounds.sensing_links(s)
+    columns = {name: [] for name in _LINK_MEASURES + _LINK_CRLBS}
+    scored, flags = [], []  # per link: its row, -1 where it raised (blank CRLBs); its flag
+    for i, lk in enumerate(links):
         try:
             g = bounds.link_geometry(lk, t)
             snr = link_snr(s.params, g, t.rcs, lk.power_scale)
             crlbs = scalar_crlbs(s.params, g, t.rcs, lk.power_scale)
-            row.update(
-                range_tx_m=g.range_tx, range_rx_m=g.range_rx,
-                doa_deg=math.degrees(g.doa_local),
-                snr_db=10.0 * math.log10(snr["snr"]),
-                snr_postdiv_db=10.0 * math.log10(snr["snr_postdiv"]),
-                flag="", **crlbs,
-            )
         except BoundsError as exc:
-            row.update(range_tx_m=math.nan, range_rx_m=math.nan, doa_deg=math.nan,
-                       snr_db=math.nan, snr_postdiv_db=math.nan, flag=str(exc))
-        rows.append(row)
-    columns = ["node", "kind", "range_tx_m", "range_rx_m", "doa_deg", "snr_db",
-               "snr_postdiv_db", "crlb_alpha", "crlb_phi", "crlb_fd", "crlb_tau",
-               "crlb_theta", "crlb_range", "crlb_bistatic_range", "flag"]
-    emit_table(rows, columns, args.format, args.output)
+            values, row, flag = [math.nan] * len(columns), -1, str(exc)
+        else:
+            values = [g.range_tx, g.range_rx, math.degrees(g.doa_local),
+                      10.0 * math.log10(snr["snr"]), 10.0 * math.log10(snr["snr_postdiv"]),
+                      *(crlbs[name] for name in _LINK_CRLBS)]
+            row, flag = i, ""
+        for column, value in zip(columns.values(), values):
+            column.append(value)
+        scored.append(row)
+        flags.append(flag)
+    emit_table(Table({
+        "node": Column([lk.node_id for lk in links]),
+        "kind": Column([lk.kind for lk in links]),
+        **{name: Column(columns[name], True) for name in _LINK_MEASURES},
+        **{name: Column(columns[name], True, scored) for name in _LINK_CRLBS},
+        "flag": Column(flags),
+    }), args.format, args.output)
     return 0
 
 
 def _emit_point(args, pos, results) -> int:
     """Emit (metric, value, flag tuple) results at one target position."""
-    rows = [{"x": pos[0], "y": pos[1], "metric": metric, "value": value, "flag": ";".join(flags)}
-            for metric, value, flags in results]
-    emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
+    metrics, values, flags = zip(*results)
+    n = len(results)
+    emit_table(Table({
+        "x": constant(pos[0], n, floats=True),
+        "y": constant(pos[1], n, floats=True),
+        "metric": Column(metrics),
+        "value": Column(values, True),
+        "flag": Column(list(map(";".join, flags))),
+    }), args.format, args.output)
     return 0
 
 
@@ -236,11 +339,9 @@ def _run_veb(args) -> int:
 
 
 def _run_heatmap(args) -> int:
-    cells = engine.heatmap(_load_scenario(args.scenario), _parse_grid(args.grid), args.metric,
-                           _mc_from_args(args), rcs=args.rcs)
-    rows = [{"x": x, "y": y, "metric": args.metric, "value": v, "flag": f}
-            for (x, y, v, f) in cells]
-    emit_table(rows, ["x", "y", "metric", "value", "flag"], args.format, args.output)
+    result = engine.heatmap(_load_scenario(args.scenario), _parse_grid(args.grid), args.metric,
+                            _mc_from_args(args), rcs=args.rcs)
+    emit_table(map_table(result, args.metric), args.format, args.output)
     return 0
 
 
@@ -251,20 +352,24 @@ def _run_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ScenarioFormatError(f"--values must be numeric, got {args.values!r}") from exc
-    rows = [{"parameter": p, "value": v, "metric": m, "metric_value": mv, "flag": f}
-            for (p, v, m, mv, f) in engine.sweep(s, t, args.parameter, values,
-                                                 args.metric, _mc_from_args(args))]
-    emit_table(rows, ["parameter", "value", "metric", "metric_value", "flag"],
-               args.format, args.output)
+    rows = engine.sweep(s, t, args.parameter, values, args.metric, _mc_from_args(args))
+    emit_table(sweep_table(args.parameter, rows), args.format, args.output)
     return 0
 
 
 def _emit_ranking(args, result: engine.SelectionResult, column: str) -> int:
     """Emit a selection ranking, each subset's node ids joined with '+'."""
-    rows = [{"rank": i + 1, column: "+".join(ids), "metric": args.metric,
-             "value": value, "selected": int(ids == result.best)}
-            for i, (ids, value) in enumerate(result.ranking)]
-    emit_table(rows, ["rank", column, "metric", "value", "selected"], args.format, args.output)
+    subsets, values = zip(*result.ranking)
+    n = len(subsets)
+    selected = [0] * n
+    selected[subsets.index(result.best)] = 1
+    emit_table(Table({
+        "rank": Column(range(1, n + 1)),
+        column: Column(list(map("+".join, subsets))),
+        "metric": constant(args.metric, n),
+        "value": Column(values, True),
+        "selected": Column(selected),
+    }), args.format, args.output)
     return 0
 
 
@@ -283,10 +388,12 @@ def _run_select_tx(args) -> int:
 
 def _run_validate(args) -> int:
     checks = validation.run_validation(seed=args.seed, draws=args.draws)
-    rows = [{"check": c.name, "max_error": c.max_error, "tolerance": c.tolerance,
-             "status": "PASS" if c.passed else "FAIL"} for c in checks]
-    emit_table(rows, ["check", "max_error", "tolerance", "status"],
-               args.format, args.output)
+    emit_table(Table({
+        "check": Column([c.name for c in checks]),
+        "max_error": Column([c.max_error for c in checks], True),
+        "tolerance": Column([c.tolerance for c in checks], True),
+        "status": Column(["PASS" if c.passed else "FAIL" for c in checks]),
+    }), args.format, args.output)
     failed = [c for c in checks if not c.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)

@@ -27,6 +27,11 @@ block rather than once per 4-cell slice took a benchmark VEB map job (43 x 43
 cells at 1,000 draws, through the CLI) from 0.562 s to 0.327 s (perfbench
 map_veb, medians of 10 alternating pairs on a 2-CPU VM).
 
+A map comes back as columns, not rows (Heatmap): the grid's axes, one
+preallocated float64 array that each block's values are written into, and
+a flag string per cell. The CLI writes them column by column (cli.map_table
+and cli.emit_table), formatting each distinct grid coordinate once.
+
 Selection scores every subset from per-link information computed once.
 Information from independent links adds, so a subset's summed information
 is the sum of its links' pieces, and those pieces are the same in every
@@ -49,6 +54,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,15 +89,24 @@ SWEEP_PARAMETERS = ("frac_subcarriers", "frac_symbols", "n_rx_ant")
 _CHUNK_BYTES = 32 * 1024
 
 
+# Cells a GridSpec may hold: a 1e4 x 1e4 grid. Its map's float64 values
+# alone take 800 MB, and its CSV ~6 GB.
+MAX_GRID_CELLS = 10**8
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid, inclusive of both ends."""
+    """Rectangular evaluation grid, inclusive of both ends. nx and ny, its
+    point counts along x and y, are fixed on construction; a grid of more
+    than MAX_GRID_CELLS cells is rejected."""
 
     x_min: float
     x_max: float
     y_min: float
     y_max: float
     step: float
+    nx: int = field(init=False)
+    ny: int = field(init=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max, self.step))):
@@ -100,14 +115,22 @@ class GridSpec:
             raise ScenarioFormatError("grid step must be positive")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ScenarioFormatError("grid max must exceed min")
+        # an axis of MAX_GRID_CELLS steps or more keeps its float count,
+        # so a count too large for an index (or inf) is still reported
+        nx, ny = (math.floor(span + 1e-9) + 1 if span < MAX_GRID_CELLS else span + 1.0
+                  for span in ((self.x_max - self.x_min) / self.step,
+                               (self.y_max - self.y_min) / self.step))
+        if nx * ny > MAX_GRID_CELLS:
+            raise ScenarioFormatError(f"grid has {nx:.15g} x {ny:.15g} = {nx * ny:.15g} cells, "
+                                      f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "ny", ny)
 
     def xs(self) -> np.ndarray:
-        n = int(math.floor((self.x_max - self.x_min) / self.step + 1e-9)) + 1
-        return self.x_min + self.step * np.arange(n)
+        return self.x_min + self.step * np.arange(self.nx)
 
     def ys(self) -> np.ndarray:
-        n = int(math.floor((self.y_max - self.y_min) / self.step + 1e-9)) + 1
-        return self.y_min + self.step * np.arange(n)
+        return self.y_min + self.step * np.arange(self.ny)
 
 
 @dataclass(frozen=True)
@@ -345,7 +368,7 @@ def evaluate_metric(s: Scenario, position, metric: str, mc: McConfig,
     else:
         means, flags = velocity_metrics(s, xy, mc, cell_index, rcs, (metric,))
         values = means[metric]
-    flags = [";".join(f) for f in flags]
+    flags = list(map(";".join, flags))
     if np.ndim(position) == 2:
         return values, flags
     return float(values[0]), flags[0]
@@ -388,30 +411,44 @@ def _slice_cells(mc: McConfig) -> int:
     return max(1, _CHUNK_BYTES // (8 * mc.draws))
 
 
+class Heatmap(NamedTuple):
+    """A metric over a grid, as columns: the grid's axes, and per cell, in
+    row-major y-then-x order (cell j * nx + i at (xs[i], ys[j])), the value
+    and the flag string ("" where the cell is unflagged)."""
+
+    xs: np.ndarray      # (nx,)
+    ys: np.ndarray      # (ny,)
+    values: np.ndarray  # (ny * nx,) float64
+    flags: list[str]    # ny * nx strings
+
+
 def heatmap(s: Scenario, grid: GridSpec, metric: str = "peb",
-            mc: McConfig | None = None, rcs: float = 1.0) -> list[tuple]:
+            mc: McConfig | None = None, rcs: float = 1.0) -> Heatmap:
     """Evaluate a metric on every grid point.
 
-    Returns rows (x, y, value, flag) in row-major y-then-x order. Cells are
-    evaluated in blocks through the block form of evaluate_metric; output
-    is bit-identical for a given Monte-Carlo seed whatever the block size.
+    Cells are evaluated in blocks through the block form of
+    evaluate_metric, each block's values written into one preallocated
+    array; output is bit-identical for a given Monte-Carlo seed whatever the
+    block size.
     """
     mc = mc or McConfig()
     s = normalize_power(s)
-    cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
+    xs, ys = grid.xs(), grid.ys()
+    cells = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     # float64 bytes per cell: a 2x2 matrix, or the velocity terms of every link
     n_links = len(bounds.sensing_links(s))
     cell_bytes = 8 * (4 if metric == "peb" else len(bounds.VELOCITY_TERMS) * n_links)
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
     if metric != "peb" and chunk > _slice_cells(mc):  # whole slices of draws
         chunk -= chunk % _slice_cells(mc)
-    rows = []
+    values = np.empty(len(cells))
+    flags = []
     for start in range(0, len(cells), chunk):
-        block = cells[start:start + chunk]
-        values, flags = evaluate_metric(s, block, metric, mc,
-                                        np.arange(start, start + len(block)), rcs)
-        rows.extend(zip(block[:, 0].tolist(), block[:, 1].tolist(), values.tolist(), flags))
-    return rows
+        stop = min(start + chunk, len(cells))
+        values[start:stop], block_flags = evaluate_metric(s, cells[start:stop], metric, mc,
+                                                          np.arange(start, stop), rcs)
+        flags += block_flags
+    return Heatmap(xs, ys, values, flags)
 
 
 def sweep(s: Scenario, t: TargetState, parameter: str, values, metric: str = "peb",

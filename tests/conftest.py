@@ -12,6 +12,14 @@ def load(name: str):
     return engine.load_scenario((SCENARIO_DIR / f"{name}.json").read_text())
 
 
+def map_rows(result: engine.Heatmap) -> list[tuple]:
+    """(x, y, value, flag) of every cell of an engine.heatmap result, in
+    its row-major y-then-x order."""
+    cells = [(x, y) for y in result.ys.tolist() for x in result.xs.tolist()]
+    return [(x, y, value, flag)
+            for (x, y), value, flag in zip(cells, result.values.tolist(), result.flags)]
+
+
 @pytest.fixture
 def params() -> SystemParams:
     return SystemParams()

@@ -28,6 +28,8 @@ from isacbounds import (
 )
 from isacbounds.model import constellation_penalty
 from isacbounds.oracle import MeanSignalModel, fim_numeric, random_link_case
+
+from conftest import map_rows
 from isacbounds import validation
 
 SEED = 20250807
@@ -144,8 +146,8 @@ def test_07_constellation_penalties():
 def test_08_coverage_map_reproduction(mono4, multistatic3):
     grid = GridSpec(0.0, 84.0, 0.0, 84.0, 1.0)
     t0 = time.monotonic()
-    mono_rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
-    multi_rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1))
+    mono_rows = map_rows(engine.heatmap(mono4, grid, "peb", McConfig(draws=1)))
+    multi_rows = map_rows(engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1)))
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
 
@@ -240,7 +242,7 @@ def test_11_heatmap_determinism_across_chunk_sizes(mono4, monkeypatch):
             monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
             table.reset_mock()
             kernel.reset_mock()
-            outputs.append(engine.heatmap(mono4, grid, "veb", mc))
+            outputs.append(map_rows(engine.heatmap(mono4, grid, "veb", mc)))
             shapes.append((max(len(c.args[1]) for c in table.call_args_list),
                            max(len(c.args[1]) for c in kernel.call_args_list)))
     assert len(outputs[0]) == 19 * 19 < 1000

@@ -97,7 +97,7 @@ class TestVebVerb:
         s = engine.normalize_power(engine.load_scenario(pathlib.Path(MONO4).read_text()))
         for row, metric in zip(rows, ("veb", "crlb_heading")):
             value, flag = engine.evaluate_metric(s, (70.0, 30.0), metric, engine.McConfig())
-            assert (row["metric"], row["value"], row["flag"]) == (metric, cli._fmt(value), flag)
+            assert (row["metric"], row["value"], row["flag"]) == (metric, f"{value:.9g}", flag)
 
 
 class TestLinkVerb:
@@ -185,19 +185,21 @@ class TestExitCodes:
 class TestEmitTable:
     def test_empty_rows_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        cli.emit_table([], ["a", "b"], "csv", str(out))
+        cli.emit_table(cli.Table({"a": cli.Column([]), "b": cli.Column([])}), "csv", str(out))
         assert out.read_text() == "a,b\n"
 
     def test_inf_csv_literal(self, tmp_path):
         out = tmp_path / "inf.csv"
-        cli.emit_table([{"x": 1.0, "value": math.inf, "flag": "singular"}],
-                       ["x", "value", "flag"], "csv", str(out))
+        cli.emit_table(cli.Table({"x": cli.Column([1.0], True),
+                                  "value": cli.Column([math.inf], True),
+                                  "flag": cli.Column(["singular"])}), "csv", str(out))
         assert read_csv(out)[0]["value"] == "inf"
 
     def test_inf_json_null_with_flag(self, tmp_path):
         out = tmp_path / "inf.json"
-        cli.emit_table([{"x": 1.0, "value": math.inf, "flag": ""}],
-                       ["x", "value", "flag"], "json", str(out))
+        cli.emit_table(cli.Table({"x": cli.Column([1.0], True),
+                                  "value": cli.Column([math.inf], True),
+                                  "flag": cli.Column([""])}), "json", str(out))
         rec = json.loads(out.read_text())[0]
         assert rec["value"] is None
         assert rec["flag"] == "infinite"
@@ -205,8 +207,8 @@ class TestEmitTable:
     def test_json_round_trip_precision(self, tmp_path):
         out = tmp_path / "v.json"
         value = 0.1234567891234
-        cli.emit_table([{"value": value, "flag": ""}], ["value", "flag"],
-                       "json", str(out))
+        cli.emit_table(cli.Table({"value": cli.Column([value], True),
+                                  "flag": cli.Column([""])}), "json", str(out))
         rec = json.loads(out.read_text())[0]
         assert rec["value"] == pytest.approx(value, rel=1e-9)
 
@@ -255,10 +257,14 @@ class TestCsvQuoting:
         assert row["metric"] == "peb"
 
     def test_plain_rows_unquoted(self, tmp_path, capsys):
-        rows = [{"x": 1.0, "y": 2.5, "metric": "peb", "value": math.inf, "flag": ""},
-                {"x": 3.0, "y": 0.1234567891234, "metric": "peb", "value": 7,
-                 "flag": "rx2: target on the tx-rx baseline;position-info-singular"}]
-        cli.emit_table(rows, ["x", "y", "metric", "value", "flag"], "csv", None)
+        table = cli.Table({
+            "x": cli.Column([1.0, 3.0], True),
+            "y": cli.Column([2.5, 0.1234567891234], True),
+            "metric": cli.Column(["peb", "peb"]),
+            "value": cli.Column([math.inf, 7], True),
+            "flag": cli.Column(["", "rx2: target on the tx-rx baseline;position-info-singular"]),
+        })
+        cli.emit_table(table, "csv", None)
         assert capsys.readouterr().out == (
             "x,y,metric,value,flag\n"
             "1,2.5,peb,inf,\n"
@@ -285,6 +291,25 @@ class TestNonFiniteArguments:
     def test_heatmap_grid(self, grid, capsys):
         assert run(["heatmap", "--scenario", MONO4, "--grid", grid]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, count", [
+        ("0:1:1e-300,0:1:1e-300", "1e+300 x 1e+300 = inf cells"),
+        ("0:1e308:1e-300,0:1:1e-300", "inf x 1e+300 = inf cells"),
+        ("0:1:1e-5,0:1:1e-5", "100001 x 100001 = 10000200001 cells"),
+        ("0:10000:1,0:9999:1", "10001 x 10000 = 100010000 cells"),
+    ])
+    def test_heatmap_grid_too_large(self, grid, count, capsys):
+        with mock.patch.object(engine, "heatmap") as heatmap:
+            assert run(["heatmap", "--scenario", MONO4, "--grid", grid]) == 2
+        heatmap.assert_not_called()
+        err = capsys.readouterr().err
+        assert err == (f"error: grid has {count}, "
+                       f"more than MAX_GRID_CELLS = {engine.MAX_GRID_CELLS}\n")
+
+    def test_heatmap_grid_at_the_cell_limit(self):
+        grid = engine.GridSpec(0.0, 9999.0, 0.0, 9999.0, 1.0)
+        assert grid.nx * grid.ny == engine.MAX_GRID_CELLS
+        assert (len(grid.xs()), len(grid.ys())) == (grid.nx, grid.ny)
 
     def test_peb_rcs(self, capsys):
         assert run(["peb", "--scenario", MONO4, "--target", "30,30", "--rcs", "nan"]) == 2

@@ -15,6 +15,8 @@ from isacbounds import (
 )
 from isacbounds.errors import ScenarioFormatError
 
+from conftest import map_rows
+
 
 class TestLoadScenario:
     def test_minimal_document_gets_defaults(self):
@@ -170,14 +172,14 @@ class TestHeatmap:
     def test_mirror_symmetry(self, mono4):
         # the four-node layout is symmetric under swapping x and y
         grid = GridSpec(10.0, 70.0, 10.0, 70.0, 20.0)
-        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
+        rows = map_rows(engine.heatmap(mono4, grid, "peb", McConfig(draws=1)))
         values = {(x, y): v for x, y, v, _ in rows}
         for (x, y), v in values.items():
             assert v == pytest.approx(values[(y, x)], rel=1e-9)
 
     def test_peb_cells_match_standalone(self, mono4):
         grid = GridSpec(20.0, 60.0, 20.0, 60.0, 20.0)
-        rows = engine.heatmap(mono4, grid, "peb", McConfig(draws=1))
+        rows = map_rows(engine.heatmap(mono4, grid, "peb", McConfig(draws=1)))
         s = engine.normalize_power(mono4)
         for x, y, v, _ in rows:
             assert v == pytest.approx(
@@ -185,7 +187,7 @@ class TestHeatmap:
 
     def test_baseline_cells_flagged(self, multistatic3):
         grid = GridSpec(42.0, 42.0001, 10.0, 70.0, 20.0)
-        rows = engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1))
+        rows = map_rows(engine.heatmap(multistatic3, grid, "peb", McConfig(draws=1)))
         assert all("baseline" in flag for _, _, _, flag in rows)
 
 

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isacbounds import bounds, engine
+from isacbounds import bounds, engine, geom
 from isacbounds.engine import GridSpec, McConfig
 from isacbounds.errors import ScenarioFormatError
 from isacbounds.model import Node, Scenario, SystemParams
 
-from conftest import load
+from conftest import load, map_rows
 
 SCENARIOS = ("mono2", "mono4", "multistatic2", "multistatic3", "ring8")
 METRICS = ("peb", "veb", "crlb_heading")
@@ -30,7 +30,7 @@ GRID = GridSpec(-6.0, 90.0, -6.0, 90.0, 6.0)
 
 def assert_matches_per_cell(s, grid, metric, mc, rows=None):
     if rows is None:
-        rows = engine.heatmap(s, grid, metric, mc)
+        rows = map_rows(engine.heatmap(s, grid, metric, mc))
     s = engine.normalize_power(s)
     cells = [(float(x), float(y)) for y in grid.ys() for x in grid.xs()]
     assert [(x, y) for x, y, _, _ in rows] == cells
@@ -54,7 +54,7 @@ def test_shipped_scenarios_match_per_cell_route(name, metric):
 
 def test_no_information_cells_carry_one_flag():
     s = Scenario(params=SystemParams(), nodes=(Node(id="a", position=(0.0, 0.0)),))
-    rows = engine.heatmap(s, GridSpec(-2.0, 2.0, -1.0, 1.0, 1.0), "veb", MC)
+    rows = map_rows(engine.heatmap(s, GridSpec(-2.0, 2.0, -1.0, 1.0, 1.0), "veb", MC))
     behind = [(v, f) for x, _, v, f in rows if x < 0.0]
     assert behind and all(v == math.inf and f == "no-information" for v, f in behind)
 
@@ -116,7 +116,7 @@ def test_hoisted_velocity_blocks_match_per_cell_route(name, metric):
     with mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
             mock.patch.object(bounds, "heading_velocity_metrics",
                               wraps=bounds.heading_velocity_metrics) as kernel:
-        rows = engine.heatmap(s, GRID, metric, mc)
+        rows = map_rows(engine.heatmap(s, GRID, metric, mc))
     assert_matches_per_cell(s, GRID, metric, mc, rows)
     blocks = [len(c.args[1]) for c in table.call_args_list]
     slices = [len(c.args[1]) for c in kernel.call_args_list]
@@ -128,3 +128,20 @@ def test_hoisted_velocity_blocks_match_per_cell_route(name, metric):
     if name == "multistatic3":
         assert any("baseline" in f for f in flags)
         assert any(value == math.inf for _, _, value, _ in rows)
+
+
+def test_velocity_map_renders_each_block_flags_once():
+    """The per-slice kernel leaves a table's flags unrendered: a VEB map
+    renders flags once per block, with the block's singular-draw counts."""
+    mc = McConfig(draws=1000, seed=11)
+    s = load("multistatic3")
+    with mock.patch.object(geom, "render_flags", wraps=geom.render_flags) as render, \
+            mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
+            mock.patch.object(bounds, "heading_velocity_metrics",
+                              wraps=bounds.heading_velocity_metrics) as kernel:
+        rows = map_rows(engine.heatmap(s, GRID, "veb", mc))
+    assert kernel.call_count > table.call_count == render.call_count >= 3
+    first = kernel.call_args_list[0].args[1]
+    flags = bounds.heading_velocity_metrics(s, first, mc.speed, mc.headings())["flags"]
+    assert flags.shape == (len(first), len(first.links))
+    assert_matches_per_cell(s, GRID, "veb", mc, rows)
