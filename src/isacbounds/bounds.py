@@ -25,9 +25,12 @@ a block's once, with the singular-draw counts).
 The rank-one velocity piece kn * w w^T is computed in two halves: the
 factors that do not depend on the velocity, per position (_velocity_terms,
 the table's velocity terms; velocity_table builds such a table), and kn and
-the three entries per velocity draw (_velocity_draws). Every velocity bound
-uses both, so a Monte-Carlo heading average pays the per-position half
-once per position, whatever the number of draws.
+the three entries per velocity draw (_velocity_draws). At speed s and
+heading x, kn's denominator is den0 + s^2 (a + b cos 2x + c sin 2x) for
+either kind of link, so every link has the same seven terms and only
+_velocity_terms reads its kind. Every velocity bound uses both halves, so
+a Monte-Carlo heading average pays the per-position half once per
+position, whatever the number of draws.
 
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
@@ -263,10 +266,17 @@ def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants, t: Tar
     return _rotate(local, link.rx.orientation)
 
 
-# Rows of a link's velocity terms (see _velocity_terms), in order. A
-# monostatic link fills the first seven; a separated pair fills them all.
-VELOCITY_TERMS = ("num", "den0", "dxn", "dyn", "wxx", "wxy", "wyy",
-                  "a_n", "a_t", "u2_q", "dxt", "dyt")
+# Rows of a link's velocity terms (see _velocity_terms), in order: the
+# numerator of kn times each entry of w w^T, and the denominator of kn at
+# speed s and heading x, den0 + s^2 (a + b cos 2x + c sin 2x).
+VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "a", "b", "c")
+
+
+def _harmonics(weight, nx, ny):
+    """(a, b, c) of a weighted rank-one form weight * (n . v)^2, which at
+    v = s (cos x, sin x) is s^2 (a + b cos 2x + c sin 2x)."""
+    half = 0.5 * weight
+    return half * (nx * nx + ny * ny), half * (nx * nx - ny * ny), weight * nx * ny
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -274,10 +284,9 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
                     used: np.ndarray | None = None) -> np.ndarray:
     """Per-position half of the rank-one velocity information kn * w w^T of
     one link: every factor that does not depend on the velocity, as the
-    VELOCITY_TERMS rows of an (12, n, 1) array over the n positions. Where
+    VELOCITY_TERMS rows of a (7, n, 1) array over the n positions. Where
     used is False the terms are those of a link with no information
-    (num = 0, den0 = 1, the rest 0), so _velocity_draws gives exact zeros
-    there at any velocity."""
+    (den0 = 1, the rest 0): exact zeros at any velocity."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
@@ -286,58 +295,51 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
     cos2 = np.cos(lc.geometry.doa_local)[:, None] ** 2
     r_tx, r_rx = lc.geometry.range_tx[:, None], lc.geometry.range_rx[:, None]
     dxn, dyn = lc.d_rx[0][:, None], lc.d_rx[1][:, None]
-    terms = np.zeros((len(VELOCITY_TERMS),) + snr.shape)
     if link.kind == "monostatic":
-        # kn = num / (eta * (48 ts^2 (M^2 - 1) cross^2 + 3 (N_R^2 - 1) r^2 lam^2 cos^2))
+        # kn = num / (eta * (48 ts^2 (M^2 - 1) (n . v)^2 + 3 (N_R^2 - 1) r^2 lam^2 cos^2)),
+        # n = (-dyn, dxn)
         num = (8.0 * math.pi**2 * nr * k * m * ts**2 * (m**2 - 1) * (nr**2 - 1)) * snr * cos2
         den0 = (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2
-        terms[:7] = num, den0, dxn, dyn, dxn * dxn, dxn * dyn, dyn * dyn
+        w0, w1 = dxn, dyn
+        harmonics = _harmonics(eta * 48.0 * ts**2 * (m**2 - 1), -dyn, dxn)
     else:
         dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
         dot_tn = dxn * dxt + dyn * dyt
         ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
-        # u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (r_tx dot_tn + r_rx r_t^2);
+        # kn = num / (12 df^2 ts^2 (K^2 - 1) (M^2 - 1) u1^2 + g u2), q_n = (-dyn, dxn) . v,
+        # q_t = (-dyt, dxt) . v, u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (...),
         # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
         g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
-        u2_q = g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2
-        u2_0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
+        a_n = r_tx**3 * ell
+        a_t = r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt))
+        u1 = _harmonics(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1),
+                        -(a_n * dyn + a_t * dyt), a_n * dxn + a_t * dxt)
+        u2 = _harmonics(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2,
+                        -dyt, dxt)
+        harmonics = [h1 + h2 for h1, h2 in zip(u1, u2)]
+        den0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
         a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
                   * nr * (nr**2 - 1) / eta)
         num = a_coef * snr * r_tx**4 * cos2 * ell**2
         w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
-        terms[:] = (num, u2_0, dxn, dyn, w0 * w0, w0 * w1, w1 * w1,
-                    r_tx**3 * ell, r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt)),
-                    u2_q, dxt, dyt)
+    terms = np.array([num * (w0 * w0), num * (w0 * w1), num * (w1 * w1), den0, *harmonics])
     if used is not None and not used.all():
         terms[:, ~used] = 0.0
-        terms[1, ~used] = 1.0
+        terms[3, ~used] = 1.0  # den0
     return terms
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _velocity_draws(p: SystemParams, kind: str, terms, vx, vy):
+def _velocity_draws(terms, speed: float, trig):
     """Per-draw half: the (xx, xy, yy) entries of kn * w w^T, global frame,
-    from a link's _velocity_terms (rows of (n, 1) columns) and velocity
-    components broadcasting against them: (n, D) for D headings per
-    position give (n, D) entries, scalars (n, 1)."""
-    fr = p.frame
-    k, m = fr.k_subcarriers, fr.m_symbols
-    ts, df = p.symbol_duration, p.subcarrier_spacing
-    eta = p.constellation.penalty
-    num, den0, dxn, dyn, wxx, wxy, wyy, a_n, a_t, u2_q, dxt, dyt = terms
-    # written as one expression each, so that no (n, D) temporary outlives
-    # its use
-    if kind == "monostatic":
-        # kn = num / (c cross^2 + den0), cross = dxn vy - dyn vx
-        kn = num / ((eta * 48.0 * ts**2 * (m**2 - 1)) * (dxn * vy - dyn * vx) ** 2 + den0)
-    else:
-        # kn = num / (c u1^2 + u2_q q_t^2 + den0), u1 = a_n q_n + a_t q_t,
-        # q_n = vy dxn - vx dyn, q_t = vy dxt - vx dyt
-        q_t = vy * dxt - vx * dyt
-        kn = num / ((12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
-                    * (a_n * (vy * dxn - vx * dyn) + a_t * q_t) ** 2
-                    + u2_q * q_t**2 + den0)
-    return kn * wxx, kn * wxy, kn * wyy
+    from a link's _velocity_terms (rows of (n, 1) columns), the speed and
+    the _heading_trig of headings broadcasting against them: (n, D) for D
+    headings per position give (n, D) entries, scalars (n, 1)."""
+    nxx, nxy, nyy, den0, a, b, c = terms
+    cos2, sin2 = trig
+    v2 = speed * speed
+    den = (v2 * b) * cos2 + (v2 * c) * sin2 + (v2 * a + den0)
+    return nxx / den, nxy / den, nyy / den
 
 
 def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
@@ -345,8 +347,9 @@ def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np
     lc = link_constants(link, t, p)
     if _no_constants(lc.status[0]) or lc.status[0] == geom.BASELINE:
         geom.raise_status(lc.status[0], link.rx.id)
-    return _matrix(*(v[0, 0] for v in _velocity_draws(p, link.kind, _velocity_terms(p, link, lc),
-                                                        *t.velocity)))
+    trig = _heading_trig(t.heading) if t.speed > 0.0 else (0.0, 0.0)  # at rest: num / den0
+    terms = _velocity_terms(p, link, lc)
+    return _matrix(*(v[0, 0] for v in _velocity_draws(terms, t.speed, trig)))
 
 
 def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
@@ -377,7 +380,7 @@ class LinkTable:
     used: np.ndarray             # (L, n) where the status is OK
     snr: np.ndarray              # (L, n) per-antenna SNR before symbol division
     position: np.ndarray | None  # (L, 3, n) position information (xx, xy, yy), if built
-    velocity: np.ndarray | None  # (L, 12, n, 1) _velocity_terms, if built
+    velocity: np.ndarray | None  # (L, 7, n, 1) _velocity_terms, if built
 
     def __len__(self) -> int:
         return self.status.shape[1]
@@ -437,27 +440,28 @@ def _link_sum(info: np.ndarray) -> np.ndarray:
     return total
 
 
-def _velocity_rows(p: SystemParams, table: LinkTable, vx, vy) -> np.ndarray:
+def _velocity_rows(table: LinkTable, speed: float, trig) -> np.ndarray:
     """(L, 3, n, D) velocity information (xx, xy, yy) of each link of a
-    table with velocity terms, at velocity components broadcasting against
-    (n, 1) to (n, D); zero where the link is unused."""
-    info = np.zeros((len(table.links), 3) + np.broadcast_shapes(np.shape(vx), (len(table), 1)))
-    for row, link, terms, used in zip(info, table.links, table.velocity, table.used):
+    table with velocity terms, at the speed and the _heading_trig of
+    headings broadcasting against (n, 1) to (n, D); zero where the link is
+    unused."""
+    info = np.zeros((len(table.links), 3) + np.broadcast_shapes(trig[0].shape, (len(table), 1)))
+    for row, terms, used in zip(info, table.velocity, table.used):
         if used.any():
-            row[:] = _velocity_draws(p, link.kind, terms, vx, vy)
+            row[:] = _velocity_draws(terms, speed, trig)
     return info
 
 
-def link_information(p: SystemParams, links, t: TargetState, vx=None, vy=None) -> np.ndarray:
+def link_information(p: SystemParams, links, t: TargetState, speed=None, trig=None) -> np.ndarray:
     """Information of each of L links at one target position, one row per
     link, for summing over many subsets of the links: the LinkTable's
-    position (xx, xy, yy) as an (L + 1, 3) array or, given the velocity
-    components vx, vy of D headings, velocity (xx, xy, yy) as an
+    position (xx, xy, yy) as an (L + 1, 3) array or, given the speed and
+    the _heading_trig of D headings, velocity (xx, xy, yy) as an
     (L + 1, 3, D) array. An unused link and the extra last row are zero, so
     a subset that adds its links' rows, in link order and from zero, gets
     exactly the sums of the network bounds."""
-    table = _link_rows(p, links, _block(t), position=vx is None, velocity=vx is not None)
-    info = table.position[:, :, 0] if vx is None else _velocity_rows(p, table, vx, vy)[:, :, 0]
+    table = _link_rows(p, links, _block(t), position=trig is None, velocity=trig is not None)
+    info = table.position[:, :, 0] if trig is None else _velocity_rows(table, speed, trig)[:, :, 0]
     return np.concatenate([info, np.zeros((1,) + info.shape[1:])])
 
 
@@ -487,7 +491,7 @@ def _network_sums(s: Scenario, t: TargetState):
     velocity ones only for a moving target."""
     moving = t.speed > 0.0
     table = _link_table(s, t, velocity=moving)
-    vel = _velocity_rows(s.params, table, *t.velocity)[..., 0] if moving else None
+    vel = _velocity_rows(table, t.speed, _heading_trig(t.heading))[..., 0] if moving else None
     return table, vel, _link_sum(table.position), None if vel is None else _link_sum(vel)
 
 
@@ -518,9 +522,9 @@ def network_peb(s: Scenario, t: TargetState) -> float:
 
 
 def _heading_trig(heading):
-    """(cos, sin, sin 2x) of the heading(s), as _polar_crlbs reads them."""
-    c, s = np.cos(heading), np.sin(heading)
-    return c, s, 2.0 * s * c
+    """(cos 2x, sin 2x) of the heading(s) x: velocity information and the
+    polar CRLBs depend on the heading only through these."""
+    return np.cos(2.0 * heading), np.sin(2.0 * heading)
 
 
 def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
@@ -531,10 +535,11 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     det = vxx * vyy - vxy * vxy
     singular = _singular(det, vxx, vyy)
     safe_det = np.where(singular, 1.0, det)
-    c, sn, s2 = trig
-    crlb_speed = np.where(singular, np.inf, (vyy * c * c + vxx * sn * sn - vxy * s2) / safe_det)
+    cos2, sin2 = trig
+    cc, ss = 0.5 * (1.0 + cos2), 0.5 * (1.0 - cos2)  # cos^2 x, sin^2 x; sin 2x = 2 sin x cos x
+    crlb_speed = np.where(singular, np.inf, (vyy * cc + vxx * ss - vxy * sin2) / safe_det)
     crlb_heading = np.where(
-        singular, np.inf, (vxx * c * c + vyy * sn * sn + vxy * s2) / (safe_det * speed**2))
+        singular, np.inf, (vxx * cc + vyy * ss + vxy * sin2) / (safe_det * speed**2))
     return crlb_speed, crlb_heading, singular
 
 
@@ -635,13 +640,14 @@ def velocity_table(s: Scenario, position, rcs: float = 1.0) -> LinkTable:
     return _link_table(s, TargetState(position=position, rcs=rcs), position=False, velocity=True)
 
 
-def _velocity_sums(p: SystemParams, table: LinkTable, vx, vy):
+def _velocity_sums(table: LinkTable, speed: float, trig):
     """(xx, xy, yy) of the velocity information summed over the links of a
-    table, added in link order from zero, at (n, D) velocity components."""
-    total = [np.zeros((len(table), vx.shape[1])) for _ in range(3)]
-    for link, used, terms in zip(table.links, table.used, table.velocity):
+    table, added in link order from zero, at the speed and the (n, D) (or
+    (1, D)) _heading_trig of the headings."""
+    total = [np.zeros((len(table), trig[0].shape[1])) for _ in range(3)]
+    for used, terms in zip(table.used, table.velocity):
         if used.any():
-            for tot, v in zip(total, _velocity_draws(p, link.kind, terms, vx, vy)):
+            for tot, v in zip(total, _velocity_draws(terms, speed, trig)):
                 tot += v
     return total
 
@@ -672,7 +678,7 @@ def heading_velocity_metrics(s: Scenario, position, speed: float,
         table, block = velocity_table(s, position, rcs), np.ndim(position) == 2
         flags = table.flags()
     trig = _heading_trig(np.atleast_2d(np.asarray(headings, dtype=float)))
-    total = _velocity_sums(s.params, table, speed * trig[0], speed * trig[1])
+    total = _velocity_sums(table, speed, trig)
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, speed, trig)
     res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
            "singular": singular, "flags": flags}

@@ -289,12 +289,6 @@ class Scenario:
                 "scenario has no sensing link (need a monostatic node or a tx/rx pair)"
             )
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     @property
     def n_transmitters(self) -> int:
         """Number of transmitting nodes (monostatic or tx role)."""

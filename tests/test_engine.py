@@ -101,7 +101,7 @@ class TestNormalizePower:
 
     def test_single_tx_keeps_full_budget(self, multistatic3):
         s = engine.normalize_power(multistatic3)
-        tx = s.node("tx1")
+        tx = next(n for n in s.nodes if n.id == "tx1")
         assert tx.power_scale == 1.0
         assert all(n.power_scale == 1.0 for n in s.nodes)
 

@@ -8,7 +8,10 @@ the bounds depend on the geometry only through distances and angles, so:
 - adding a node never raises the PEB, the VEB at a given velocity or the
   velocity bounds of any heading draw, and never makes a finite one inf;
 - the VEB of the summed 4x4 state information never exceeds the rank-one
-  VEB of the same links.
+  VEB of the same links;
+- on every shipped scenario, headings x and x + pi give the same VEB and
+  heading CRLB: a link's velocity information depends on the heading only
+  through 2x.
 
 Targets sit at fractional offsets (0.37, 0.61) from the integer points the
 nodes sit on: every line through two such points (a tx-rx baseline among
@@ -23,10 +26,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isacbounds import bounds, engine
+from isacbounds.engine import GridSpec
 from isacbounds.errors import NoInformationError
 from isacbounds.model import Node, TargetState
 
-from test_map_kernel import mixed_networks
+from conftest import load
+from test_map_kernel import SCENARIOS, mixed_networks
 
 REL = 1e-9
 HEADINGS = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -135,3 +140,18 @@ def test_exact_veb_never_exceeds_rank_one_veb(s, pos, vel):
     if math.isfinite(rank_one):
         assert exact <= rank_one * (1.0 + REL)
 
+
+
+def test_opposite_headings_give_the_same_velocity_bounds():
+    grid = GridSpec(-6.0, 90.0, -6.0, 90.0, 2.0)
+    cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
+    headings = np.random.default_rng(7).uniform(-math.pi, math.pi, (len(cells), 16))
+    for name in SCENARIOS:
+        s = engine.normalize_power(load(name))
+        a = bounds.heading_velocity_metrics(s, cells, 22.0, headings)
+        b = bounds.heading_velocity_metrics(s, cells, 22.0, headings + math.pi)
+        assert (a["singular"] == b["singular"]).all() and not a["singular"].all()
+        for key in ("veb", "crlb_heading"):
+            assert (np.isinf(a[key]) == a["singular"]).all()
+            np.testing.assert_allclose(b[key][~b["singular"]], a[key][~a["singular"]],
+                                       rtol=1e-8)

@@ -26,6 +26,11 @@ MC = McConfig(draws=16, seed=3)
 # 6 m steps from -6 to 90: every shipped node position, the x = 42 and
 # y = 42 baselines, and cells behind every array
 GRID = GridSpec(-6.0, 90.0, -6.0, 90.0, 6.0)
+# A velocity block budget under which GRID's 289 cells span at least three
+# blocks of every scenario below, the last block and its last slice partial:
+# 144-cell blocks of multistatic3 in 3-cell slices at 1,000 draws. The
+# default budget makes 192-cell blocks of multistatic3, two for GRID.
+SMALL_BLOCK_BYTES = 24 * 1024
 
 
 def assert_matches_per_cell(s, grid, metric, mc, rows=None):
@@ -107,12 +112,13 @@ def test_random_mixed_networks_match_per_cell_route(s, data):
 
 @pytest.mark.parametrize("metric", ("veb", "crlb_heading"))
 @pytest.mark.parametrize("name", ("mono4", "multistatic3", "ring8"))
-def test_hoisted_velocity_blocks_match_per_cell_route(name, metric):
+def test_hoisted_velocity_blocks_match_per_cell_route(name, metric, monkeypatch):
     """At 1,000 draws a block's per-position table serves several slices of
     draws; the grid spans several blocks and ends in a partial block whose
     last slice is partial too."""
     mc = McConfig(draws=1000, seed=11)
     s = load(name)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", SMALL_BLOCK_BYTES)
     with mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
             mock.patch.object(bounds, "heading_velocity_metrics",
                               wraps=bounds.heading_velocity_metrics) as kernel:
@@ -130,11 +136,12 @@ def test_hoisted_velocity_blocks_match_per_cell_route(name, metric):
         assert any(value == math.inf for _, _, value, _ in rows)
 
 
-def test_velocity_map_renders_each_block_flags_once():
+def test_velocity_map_renders_each_block_flags_once(monkeypatch):
     """The per-slice kernel leaves a table's flags unrendered: a VEB map
     renders flags once per block, with the block's singular-draw counts."""
     mc = McConfig(draws=1000, seed=11)
     s = load("multistatic3")
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", SMALL_BLOCK_BYTES)
     with mock.patch.object(geom, "render_flags", wraps=geom.render_flags) as render, \
             mock.patch.object(bounds, "velocity_table", wraps=bounds.velocity_table) as table, \
             mock.patch.object(bounds, "heading_velocity_metrics",
