@@ -6,31 +6,34 @@ bound is the trace of the inverse of the sum. Per-link velocity information
 is rank one (a link only measures the radial velocity component), so
 velocity bounds require at least two links with non-collinear geometry.
 
-Every network bound reads one LinkTable, built once for a block of n target
-positions by one loop over the sensing links (_link_rows). The loop calls
-the per-link primitive, link_constants (a link's SNR, local DoA, ranges,
-target offsets, bistatic observables and position Jacobian as (n,) arrays,
-with a geom status per position), and keeps per link and position the
-status, whether the link is used (status OK), and its information: the
-position information and the velocity terms, each built only for a bound
-that reads it and zero where the link is unused. A bound adds the rows
-in link order from zero and inverts the sums as a stack. A degenerate
-position is flagged, not raised, so that coverage maps can render
-degenerate regions: geom.render_flags turns the table's status codes and a
-bound's cell codes into flag strings, which are made only by the public
-bounds and their callers. heading_velocity_metrics leaves the flags of a
-velocity_table it is handed to its caller (engine.velocity_metrics renders
-a block's once, with the singular-draw counts).
+Every network bound but the exact one reads one LinkTable, built once for
+a block of n target positions by one loop over the sensing links
+(_link_rows). The loop calls the per-link primitive, link_constants (a
+link's SNR, local DoA, ranges, target offsets, bistatic observables and
+position Jacobian as (n,) arrays, with a geom status per position), and
+keeps per link and position the status, whether the link is used (status
+OK), and its information: the position information and the velocity
+terms, each built only for a bound that reads it and zero where the link
+is unused. A bound adds the rows in link order from zero and inverts the
+sums as a stack. A degenerate position is flagged, not raised, so that
+coverage maps can render degenerate regions: geom.render_flags turns the
+link status codes and a bound's cell codes into flag strings, which are
+made only by the public bounds and their callers. heading_velocity_metrics
+leaves the flags of a velocity_table it is handed to its caller
+(engine.velocity_metrics renders a block's once, with the singular-draw
+counts).
 
 The rank-one velocity piece kn * w w^T is computed in two halves: the
 factors that do not depend on the velocity, per position (_velocity_terms,
 the table's velocity terms; velocity_table builds such a table), and kn and
-the three entries per velocity draw (_velocity_draws). At speed s and
-heading x, kn's denominator is den0 + s^2 (a + b cos 2x + c sin 2x) for
-either kind of link, so every link has the same seven terms and only
-_velocity_terms reads its kind. Every velocity bound uses both halves, so
-a Monte-Carlo heading average pays the per-position half once per
-position, whatever the number of draws.
+the three entries per velocity draw (_velocity_draws). At velocity v,
+kn's denominator is the sum of squares den0 + (m1 . v)^2 + (m2 . v)^2 for
+either kind of link (m2 = 0 for a co-located node), so every link has the
+same eight terms and only _velocity_terms reads its kind. Every velocity
+bound uses both halves, so a Monte-Carlo heading average pays the
+per-position half once per position, whatever the number of draws. The
+exact bound reads link_constants and geom.jac_state (one state Jacobian for
+both kinds of link) instead, in a loop of its own.
 
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
@@ -268,15 +271,8 @@ def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants, t: Tar
 
 # Rows of a link's velocity terms (see _velocity_terms), in order: the
 # numerator of kn times each entry of w w^T, and the denominator of kn at
-# speed s and heading x, den0 + s^2 (a + b cos 2x + c sin 2x).
-VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "a", "b", "c")
-
-
-def _harmonics(weight, nx, ny):
-    """(a, b, c) of a weighted rank-one form weight * (n . v)^2, which at
-    v = s (cos x, sin x) is s^2 (a + b cos 2x + c sin 2x)."""
-    half = 0.5 * weight
-    return half * (nx * nx + ny * ny), half * (nx * nx - ny * ny), weight * nx * ny
+# velocity v, den0 + (m1 . v)^2 + (m2 . v)^2, a sum of squares.
+VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "m1x", "m1y", "m2x", "m2y")
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -284,9 +280,11 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
                     used: np.ndarray | None = None) -> np.ndarray:
     """Per-position half of the rank-one velocity information kn * w w^T of
     one link: every factor that does not depend on the velocity, as the
-    VELOCITY_TERMS rows of a (7, n, 1) array over the n positions. Where
-    used is False the terms are those of a link with no information
-    (den0 = 1, the rest 0): exact zeros at any velocity."""
+    VELOCITY_TERMS rows of an (8, n, 1) array over the n positions, each
+    rank-one form weight * (n . v)^2 of kn's denominator as its normal
+    scaled by sqrt(weight). Where used is False the terms are those of a
+    link with no information (den0 = 1, the rest 0): exact zeros at any
+    velocity."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
@@ -301,7 +299,8 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
         num = (8.0 * math.pi**2 * nr * k * m * ts**2 * (m**2 - 1) * (nr**2 - 1)) * snr * cos2
         den0 = (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2
         w0, w1 = dxn, dyn
-        harmonics = _harmonics(eta * 48.0 * ts**2 * (m**2 - 1), -dyn, dxn)
+        scale = math.sqrt(eta * 48.0 * ts**2 * (m**2 - 1))
+        normals = (-scale * dyn, scale * dxn, np.zeros_like(den0), np.zeros_like(den0))
     else:
         dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
         dot_tn = dxn * dxt + dyn * dyt
@@ -312,17 +311,16 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
         g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
         a_n = r_tx**3 * ell
         a_t = r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt))
-        u1 = _harmonics(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1),
-                        -(a_n * dyn + a_t * dyt), a_n * dxn + a_t * dxt)
-        u2 = _harmonics(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2,
-                        -dyt, dxt)
-        harmonics = [h1 + h2 for h1, h2 in zip(u1, u2)]
+        s1 = math.sqrt(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
+        s2 = np.sqrt(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2)
+        normals = (-s1 * (a_n * dyn + a_t * dyt), s1 * (a_n * dxn + a_t * dxt),
+                   -s2 * dyt, s2 * dxt)
         den0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
         a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
                   * nr * (nr**2 - 1) / eta)
         num = a_coef * snr * r_tx**4 * cos2 * ell**2
         w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
-    terms = np.array([num * (w0 * w0), num * (w0 * w1), num * (w1 * w1), den0, *harmonics])
+    terms = np.array([num * (w0 * w0), num * (w0 * w1), num * (w1 * w1), den0, *normals])
     if used is not None and not used.all():
         terms[:, ~used] = 0.0
         terms[3, ~used] = 1.0  # den0
@@ -335,10 +333,14 @@ def _velocity_draws(terms, speed: float, trig):
     from a link's _velocity_terms (rows of (n, 1) columns), the speed and
     the _heading_trig of headings broadcasting against them: (n, D) for D
     headings per position give (n, D) entries, scalars (n, 1)."""
-    nxx, nxy, nyy, den0, a, b, c = terms
-    cos2, sin2 = trig
-    v2 = speed * speed
-    den = (v2 * b) * cos2 + (v2 * c) * sin2 + (v2 * a + den0)
+    nxx, nxy, nyy, den0, m1x, m1y, m2x, m2y = terms
+    cos, sin = trig
+    q = (speed * m1x) * cos + (speed * m1y) * sin
+    den = q * q
+    if m2x.any() or m2y.any():  # not a co-located node, whose m2 = 0 adds exact zeros
+        q = (speed * m2x) * cos + (speed * m2y) * sin
+        den += q * q
+    den += den0
     return nxx / den, nxy / den, nyy / den
 
 
@@ -350,18 +352,6 @@ def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np
     trig = _heading_trig(t.heading) if t.speed > 0.0 else (0.0, 0.0)  # at rest: num / den0
     terms = _velocity_terms(p, link, lc)
     return _matrix(*(v[0, 0] for v in _velocity_draws(terms, t.speed, trig)))
-
-
-def _link_state_info(link: SensingLink, t: TargetState, p: SystemParams) -> np.ndarray:
-    """4x4 information over (x, y, vx, vy) of one link at one target
-    position, global frame."""
-    lc = _scalar_constants(link, t, p)
-    e3 = np.diag([v[0] for v in efim_diagonal(p, lc.snr, lc.geometry.doa_local)])
-    if link.kind == "monostatic":
-        j = geom.jac_mono_state(link.rx, t, p.wavelength)
-    else:
-        j = geom.jac_bis_state(link.tx, link.rx, t, p.wavelength)
-    return j.T @ e3 @ j
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +370,7 @@ class LinkTable:
     used: np.ndarray             # (L, n) where the status is OK
     snr: np.ndarray              # (L, n) per-antenna SNR before symbol division
     position: np.ndarray | None  # (L, 3, n) position information (xx, xy, yy), if built
-    velocity: np.ndarray | None  # (L, 7, n, 1) _velocity_terms, if built
+    velocity: np.ndarray | None  # (L, 8, n, 1) _velocity_terms, if built
 
     def __len__(self) -> int:
         return self.status.shape[1]
@@ -391,12 +381,10 @@ class LinkTable:
         return LinkTable(self.links, self.status[:, rows], self.used[:, rows], self.snr[:, rows],
                          cut(self.position), cut(self.velocity))
 
-    def flags(self, cells=(), draws=None, used=None) -> list[tuple[str, ...]]:
+    def flags(self, cells=(), draws=None) -> list[tuple[str, ...]]:
         """geom.render_flags of the positions: the status of every link
-        where it is unused (or, given used, where that mask is False), then
-        the cell codes and singular draws."""
-        codes = self.status if used is None else np.where(used, geom.OK, self.status)
-        return geom.render_flags([(lk.node_id, lk.rx.id) for lk in self.links], codes,
+        where it is unused, then the cell codes and singular draws."""
+        return geom.render_flags([(lk.node_id, lk.rx.id) for lk in self.links], self.status,
                                  cells, draws)
 
 
@@ -522,9 +510,9 @@ def network_peb(s: Scenario, t: TargetState) -> float:
 
 
 def _heading_trig(heading):
-    """(cos 2x, sin 2x) of the heading(s) x: velocity information and the
-    polar CRLBs depend on the heading only through these."""
-    return np.cos(2.0 * heading), np.sin(2.0 * heading)
+    """(cos x, sin x) of the heading(s) x, which the per-draw velocity
+    information and the polar CRLBs read."""
+    return np.cos(heading), np.sin(heading)
 
 
 def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
@@ -535,8 +523,8 @@ def _polar_crlbs(vxx, vxy, vyy, speed: float, trig):
     det = vxx * vyy - vxy * vxy
     singular = _singular(det, vxx, vyy)
     safe_det = np.where(singular, 1.0, det)
-    cos2, sin2 = trig
-    cc, ss = 0.5 * (1.0 + cos2), 0.5 * (1.0 - cos2)  # cos^2 x, sin^2 x; sin 2x = 2 sin x cos x
+    cos, sin = trig
+    cc, ss, sin2 = cos * cos, sin * sin, 2.0 * sin * cos
     crlb_speed = np.where(singular, np.inf, (vyy * cc + vxx * ss - vxy * sin2) / safe_det)
     crlb_heading = np.where(
         singular, np.inf, (vxx * cc + vyy * ss + vxy * sin2) / (safe_det * speed**2))
@@ -558,37 +546,49 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
             "flags": table.flags([(geom.VELOCITY_SINGULAR, singular)])[0]}
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def network_velocity_bounds_exact(s: Scenario, t: TargetState) -> dict:
     """Velocity bound from the summed 4x4 state information.
 
-    Sums the per-link (x, y, vx, vy) information, removes position by Schur
-    complement, and reads the speed bound in polar coordinates. Tighter
-    than network_velocity_bounds, which discards cross-information between
-    links by reducing each link to its own rank-one velocity piece. Links
-    on a tx-rx baseline stay: this form has no division by the ellipse guard.
-    A speed bound that roundoff makes negative is reported as singular.
+    Sums the per-link (x, y, vx, vy) information J^T diag(efim_diagonal) J,
+    J = geom.jac_state, removes position by Schur complement, and reads the
+    speed bound with _polar_crlbs. Tighter than network_velocity_bounds,
+    which reduces each link to its own rank-one velocity piece. Links on a
+    tx-rx baseline stay: this form has no division by the ellipse guard. A
+    speed bound that roundoff makes negative is reported as singular. A
+    block of n positions gives n values and flags, as evaluate_bounds.
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
-    table = _link_rows(s.params, sensing_links(s), _block(t), position=False)
-    kept = ~_no_constants(table.status)
-    if not kept.any():
+    p, links, block = s.params, sensing_links(s), _block(t)
+    codes = np.empty((len(links), len(block.position)), dtype=np.int8)
+    total = np.zeros((4, 4, len(block.position)))
+    for i, link in enumerate(links):
+        lc = link_constants(link, block, p)
+        kept = ~_no_constants(lc.status)
+        codes[i] = np.where(kept, geom.OK, lc.status)
+        if kept.any():
+            j = geom.jac_state(link.tx, link.rx, block, p.wavelength)
+            je = j * np.array(efim_diagonal(p, lc.snr, lc.geometry.doa_local))[:, None]
+            total += np.where(kept, sum(a[:, None] * b for a, b in zip(je, j)), 0.0)
+    if np.ndim(t.position) < 2 and not (codes == geom.OK).any():
         geom.raise_status(geom.NO_INFORMATION)
-    total = np.zeros((4, 4))
-    for link, keep in zip(table.links, kept[:, 0]):
-        if keep:
-            total += _link_state_info(link, t, s.params)
-    i_p, i_pv, i_v = total[:2, :2], total[:2, 2:], total[2:, 2:]
-    veb, code = math.inf, geom.POSITION_SINGULAR
-    if not _singular(i_p[0, 0] * i_p[1, 1] - i_p[0, 1] * i_p[1, 0], i_p[0, 0], i_p[1, 1]):
-        j_pol = geom.jac_polar_velocity(t.velocity)
-        m_pol = j_pol.T @ (i_v - i_pv.T @ np.linalg.solve(i_p, i_pv)) @ j_pol
-        det = m_pol[0, 0] * m_pol[1, 1] - m_pol[0, 1] * m_pol[1, 0]
-        code = geom.VELOCITY_SINGULAR
-        if not _singular(det, m_pol[0, 0], m_pol[1, 1]) and m_pol[1, 1] > 0.0:
-            veb, code = math.sqrt(m_pol[1, 1] / det), geom.OK
-    return {"veb_exact": veb,
-            "flags": table.flags([(code, np.array([code != geom.OK]))], used=kept)[0]}
+    (pxx, pxy, bxx, bxy), (_, pyy, byx, byy), (_, _, vxx, vxy), (_, _, _, vyy) = total
+    det = pxx * pyy - pxy * pxy
+    ax, ay = (pyy * bxx - pxy * byx) / det, (pxx * byx - pxy * bxx) / det  # i_p^-1 i_pv
+    cx, cy = (pyy * bxy - pxy * byy) / det, (pxx * byy - pxy * bxy) / det
+    crlb_speed, _, singular = _polar_crlbs(vxx - (bxx * ax + byx * ay),
+                                           vxy - (bxx * cx + byx * cy),
+                                           vyy - (bxy * cx + byy * cy),
+                                           t.speed, _heading_trig(t.heading))
+    position_singular = _singular(det, pxx, pyy)
+    singular = ~position_singular & (singular | ~(crlb_speed > 0.0))
+    veb = np.sqrt(np.where(position_singular | singular, math.inf, crlb_speed))
+    cells = [(geom.POSITION_SINGULAR, position_singular), (geom.VELOCITY_SINGULAR, singular)]
+    flags = geom.render_flags([(lk.node_id, lk.rx.id) for lk in links], codes, cells)
+    if np.ndim(t.position) == 2:
+        return {"veb_exact": veb, "flags": flags}
+    return {"veb_exact": float(veb[0]), "flags": flags[0]}
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -14,8 +14,8 @@ inverted as a stack; a cell gets exactly the value and flags of
 evaluate_metric at its own position. A PEB block holds as many cells as keep
 their 2x2 position information within _CHUNK_BYTES (1,024). A velocity block
 holds as many cells as keep the table's velocity terms (bounds.velocity_table:
-7 float64 terms per link and cell, for the table's link count) within
-_CHUNK_BYTES, in whole slices: 144 cells of a 4-link scenario. Its cells are
+8 float64 terms per link and cell, for the table's link count) within
+_CHUNK_BYTES, in whole slices: 128 cells of a 4-link scenario. Its cells are
 walked in slices that keep the per-draw arrays (cells x heading draws) within
 _CHUNK_BYTES, 4 cells at 1,000 draws, and each slice is reduced to its
 per-cell means and singular draw count before the next is drawn
@@ -82,7 +82,7 @@ SWEEP_PARAMETERS = ("frac_subcarriers", "frac_symbols", "n_rx_ant")
 # holds this much summed information: 1,365 subsets' position sums, or one
 # subset's velocity sums over 1,000 heading draws. A map block holds as many
 # cells as keep their largest array this small: 1,024 PEB cells (a 2x2
-# float64 information matrix each), or the velocity table of 144 cells of a
+# float64 information matrix each), or the velocity table of 128 cells of a
 # 4-link scenario, walked in slices of 4 cells at 1,000 draws. Larger chunks
 # run no faster but raise peak memory: 4,096-cell PEB chunks read ~2 MB more
 # peak RSS, and at 64 KB the ring workload's peak RSS rose ~0.4 MB.

@@ -10,6 +10,8 @@ target positions (a target whose position is one). They then do the same
 arithmetic on (n,) arrays and return, in place of the raise, a status per
 position: OK or the first degeneracy that applies, in the order of the codes
 below. Given one position they compute a block of one and raise on its status.
+jac_state does the same but has no status: a block's entries are not finite
+where the target is on tx or rx.
 
 The codes are also the package's one flag vocabulary: CODES maps each to
 the exception and text the scalar forms raise and to the flag a network
@@ -250,50 +252,33 @@ def jac_rotation(angle: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def jac_mono_state(node: Node, t: TargetState, wavelength: float) -> np.ndarray:
-    """d(doppler, delay, doa)/d(x, y, vx, vy) for a two-way link.
+@np.errstate(divide="ignore", invalid="ignore")
+def jac_state(tx: Node, rx: Node, t: TargetState, wavelength: float) -> np.ndarray:
+    """d(doppler, delay, doa)/d(x, y, vx, vy) of the link from tx to rx (a
+    co-located node is its own tx); a (3, 4, n) stack for an (n, 2) block.
 
     Delay and DoA rows do not depend on velocity; the Doppler row couples
-    position and velocity through the radial projection.
+    position and velocity through the radial projections.
     """
-    dx = t.position[0] - node.position[0]
-    dy = t.position[1] - node.position[1]
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        raise_status(COINCIDENT, node.id)
-    vx, vy = t.velocity
-    lam = wavelength
-    return np.array([
-        [2.0 / lam * dy * (dy * vx - dx * vy) / r**3,
-         2.0 / lam * dx * (dx * vy - dy * vx) / r**3,
-         2.0 / lam * dx / r,
-         2.0 / lam * dy / r],
-        [2.0 / C * dx / r, 2.0 / C * dy / r, 0.0, 0.0],
-        [-dy / r**2, dx / r**2, 0.0, 0.0],
-    ])
-
-
-def jac_bis_state(tx: Node, rx: Node, t: TargetState, wavelength: float) -> np.ndarray:
-    """d(doppler, delay, doa)/d(x, y, vx, vy) for a separated pair."""
-    px, py = t.position
-    xt, yt = px - tx.position[0], py - tx.position[1]
-    xr, yr = px - rx.position[0], py - rx.position[1]
-    r_tx = math.hypot(xt, yt)
-    r_rx = math.hypot(xr, yr)
-    if r_tx == 0.0 or r_rx == 0.0:
-        raise SingularGeometryError("target coincides with tx or rx node")
-    vx, vy = t.velocity
-    lam = wavelength
-    return np.array([
+    xy, block = positions(t.position)
+    xt, yt = xy[:, 0] - tx.position[0], xy[:, 1] - tx.position[1]
+    xr, yr = xy[:, 0] - rx.position[0], xy[:, 1] - rx.position[1]
+    r_tx, r_rx = np.hypot(xt, yt), np.hypot(xr, yr)
+    (vx, vy), lam = t.velocity, wavelength
+    zero = np.zeros_like(r_rx)
+    jac = np.array([
         [vx / lam * (yt**2 / r_tx**3 + yr**2 / r_rx**3)
          - vy / lam * (xt * yt / r_tx**3 + xr * yr / r_rx**3),
          -vx / lam * (xt * yt / r_tx**3 + xr * yr / r_rx**3)
          + vy / lam * (xt**2 / r_tx**3 + xr**2 / r_rx**3),
          xt / (lam * r_tx) + xr / (lam * r_rx),
          yt / (lam * r_tx) + yr / (lam * r_rx)],
-        [xt / (C * r_tx) + xr / (C * r_rx), yt / (C * r_tx) + yr / (C * r_rx), 0.0, 0.0],
-        [-yr / r_rx**2, xr / r_rx**2, 0.0, 0.0],
+        [xt / (C * r_tx) + xr / (C * r_rx), yt / (C * r_tx) + yr / (C * r_rx), zero, zero],
+        [-yr / r_rx**2, xr / r_rx**2, zero, zero],
     ])
+    if not block and 0.0 in (r_rx[0], r_tx[0]):
+        raise_status(COINCIDENT if r_rx[0] == 0.0 else TX_COINCIDENT, rx.id)
+    return jac if block else jac[:, :, 0]
 
 
 def jac_polar_velocity(v) -> np.ndarray:

@@ -131,22 +131,17 @@ def check_jacobians(rng, points: int) -> CheckResult:
                                oracle.jacobian_numeric(bis_inverse_map, x0,
                                                        abs_step=(1e-12, 1e-8))))
 
-        def mono_state_map(z):
-            tt = TargetState(position=(z[0], z[1]), velocity=(z[2], z[3]))
-            o = geom.mono_observables(rx, tt, lam)
-            return np.array([o.doppler, o.delay, o.doa])
-
         z0 = np.array([*t.position, *t.velocity])
-        worst = max(worst, rel(geom.jac_mono_state(rx, t, lam),
-                               oracle.jacobian_numeric(mono_state_map, z0)))
+        for source in (rx, tx):  # a co-located node, then the separated pair
 
-        def bis_state_map(z):
-            tt = TargetState(position=(z[0], z[1]), velocity=(z[2], z[3]))
-            o = geom.bis_observables(tx, rx, tt, lam)
-            return np.array([o.doppler, o.delay, o.doa])
+            def state_map(z, source=source):
+                tt = TargetState(position=(z[0], z[1]), velocity=(z[2], z[3]))
+                o = (geom.mono_observables(rx, tt, lam) if source is rx
+                     else geom.bis_observables(tx, rx, tt, lam))
+                return np.array([o.doppler, o.delay, o.doa])
 
-        worst = max(worst, rel(geom.jac_bis_state(tx, rx, t, lam),
-                               oracle.jacobian_numeric(bis_state_map, z0)))
+            worst = max(worst, rel(geom.jac_state(source, rx, t, lam),
+                                   oracle.jacobian_numeric(state_map, z0)))
 
         angle = float(rng.uniform(-np.pi, np.pi))
         worst = max(worst, rel(geom.jac_rotation(angle),

@@ -17,6 +17,7 @@ from isacbounds.errors import (
     NoInformationError,
     UndefinedHeadingError,
 )
+from isacbounds.link import efim_diagonal, link_snr
 
 # frozen from the full numeric pipeline (link EFIM -> Schur -> Jacobian ->
 # trace) evaluated independently of the closed form under test
@@ -298,9 +299,14 @@ class TestNodeVelocityEfim:
             np.testing.assert_allclose(vb, vm, rtol=1e-9)
 
     def test_matches_state_information_schur(self, params, rng):
-        # independent route: 4x4 state information, position removed by a
-        # numeric Schur complement
-        from isacbounds.bounds import _link_state_info
+        # independent route: 4x4 state information J^T diag(efim) J, position
+        # removed by a numeric Schur complement
+        def state_info(link, t):
+            g = bounds.link_geometry(link, t)
+            snr = link_snr(params, g, t.rcs, link.power_scale)["snr"]
+            j = geom.jac_state(link.tx, link.rx, t, params.wavelength)
+            return j.T @ np.diag(efim_diagonal(params, snr, g.doa_local)) @ j
+
         done = 0
         while done < 20:
             kind = "monostatic" if rng.random() < 0.5 else "bistatic"
@@ -317,7 +323,7 @@ class TestNodeVelocityEfim:
                 link = bounds.SensingLink("r", tx, rx, "bistatic", 1.0)
             try:
                 closed = bounds.node_velocity_efim(link, t, params)
-                g4 = _link_state_info(link, t, params)
+                g4 = state_info(link, t)
             except geom.SingularGeometryError:
                 continue
             ip, ipv, iv = g4[:2, :2], g4[:2, 2:], g4[2:, 2:]

@@ -220,13 +220,13 @@ class TestJacRotation:
 class TestJacMonoState:
     def test_static_target_zeroes_doppler_position_block(self):
         n = Node(id="n", position=(0, 0))
-        j = geom.jac_mono_state(n, TargetState(position=(40.0, 10.0)), LAM)
+        j = geom.jac_state(n, n, TargetState(position=(40.0, 10.0)), LAM)
         np.testing.assert_array_equal(j[0, :2], [0.0, 0.0])
 
     def test_delay_doa_rows_velocity_independent(self):
         n = Node(id="n", position=(0, 0))
         t = TargetState(position=(40.0, 10.0), velocity=(9.0, -4.0))
-        j = geom.jac_mono_state(n, t, LAM)
+        j = geom.jac_state(n, n, t, LAM)
         np.testing.assert_array_equal(j[1:, 2:], np.zeros((2, 2)))
 
     def test_matches_numeric(self, rng):
@@ -239,7 +239,7 @@ class TestJacMonoState:
                 return np.array([o.doppler, o.delay, o.doa])
 
             z0 = np.array([*t.position, *t.velocity])
-            j = geom.jac_mono_state(rx, t, LAM)
+            j = geom.jac_state(rx, rx, t, LAM)
             jn = jacobian_numeric(fmap, z0)
             assert np.abs(j - jn).max() <= 1e-6 * np.abs(j).max()
 
@@ -249,16 +249,16 @@ class TestJacBisState:
         tx = Node(id="t", position=(3.0, 4.0), role="tx")
         rx = Node(id="r", position=(3.0, 4.0), orientation=0.3, role="rx", tx_id="t")
         t = TargetState(position=(60.0, 30.0), velocity=(5.0, 5.0))
-        j_bis = geom.jac_bis_state(tx, rx, t, LAM)
-        j_mono = geom.jac_mono_state(rx, t, LAM)
+        j_bis = geom.jac_state(tx, rx, t, LAM)
+        j_mono = geom.jac_state(rx, rx, t, LAM)
         np.testing.assert_allclose(j_bis, j_mono, rtol=1e-12)
 
     def test_doppler_velocity_entries_velocity_independent(self, rng):
         tx, rx, t, obs = random_pair(rng)
         t2 = TargetState(position=t.position, velocity=(t.velocity[0] + 11.0,
                                                         t.velocity[1] - 3.0))
-        j1 = geom.jac_bis_state(tx, rx, t, LAM)
-        j2 = geom.jac_bis_state(tx, rx, t2, LAM)
+        j1 = geom.jac_state(tx, rx, t, LAM)
+        j2 = geom.jac_state(tx, rx, t2, LAM)
         np.testing.assert_allclose(j1[0, 2:], j2[0, 2:], rtol=1e-14)
 
     def test_matches_numeric(self, rng):
@@ -271,9 +271,18 @@ class TestJacBisState:
                 return np.array([o.doppler, o.delay, o.doa])
 
             z0 = np.array([*t.position, *t.velocity])
-            j = geom.jac_bis_state(tx, rx, t, LAM)
+            j = geom.jac_state(tx, rx, t, LAM)
             jn = jacobian_numeric(fmap, z0)
             assert np.abs(j - jn).max() <= 1e-6 * np.abs(j).max()
+
+    def test_block_equals_stacked_points(self, rng):
+        tx, rx, t, _ = random_pair(rng)
+        points = rng.uniform(-80, 80, (16, 2))
+        block = geom.jac_state(tx, rx, TargetState(position=points, velocity=t.velocity), LAM)
+        assert block.shape == (3, 4, 16)
+        for i, point in enumerate(points):
+            one = geom.jac_state(tx, rx, TargetState(position=point, velocity=t.velocity), LAM)
+            assert (block[:, :, i] == one).all()
 
 
 class TestJacPolarVelocity:

@@ -11,7 +11,10 @@ the bounds depend on the geometry only through distances and angles, so:
   VEB of the same links;
 - on every shipped scenario, headings x and x + pi give the same VEB and
   heading CRLB: a link's velocity information depends on the heading only
-  through 2x.
+  through 2x;
+- on every shipped scenario, the exact VEB at v and at -v is the same: the
+  Doppler row's position entries are odd in v and its velocity entries do
+  not depend on v, so the Schur complement of the summed 4x4 is even in v.
 
 Targets sit at fractional offsets (0.37, 0.61) from the integer points the
 nodes sit on: every line through two such points (a tx-rx baseline among
@@ -155,3 +158,20 @@ def test_opposite_headings_give_the_same_velocity_bounds():
             assert (np.isinf(a[key]) == a["singular"]).all()
             np.testing.assert_allclose(b[key][~b["singular"]], a[key][~a["singular"]],
                                        rtol=1e-8)
+
+
+def test_opposite_velocities_give_the_same_exact_veb():
+    grid = GridSpec(-6.0, 90.0, -6.0, 90.0, 2.0)
+    cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
+    for name in SCENARIOS:
+        s = engine.normalize_power(load(name))
+        for vx, vy in ((22.0, 0.0), (-3.0, 15.0), (7.5, -9.25)):
+            a = bounds.network_velocity_bounds_exact(s, TargetState(position=cells,
+                                                                    velocity=(vx, vy)))
+            b = bounds.network_velocity_bounds_exact(s, TargetState(position=cells,
+                                                                    velocity=(-vx, -vy)))
+            assert a["flags"] == b["flags"]
+            finite = np.isfinite(a["veb_exact"])
+            assert (np.isfinite(b["veb_exact"]) == finite).all() and finite.any()
+            np.testing.assert_allclose(b["veb_exact"][finite], a["veb_exact"][finite],
+                                       rtol=1e-12)

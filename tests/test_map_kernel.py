@@ -28,8 +28,8 @@ MC = McConfig(draws=16, seed=3)
 GRID = GridSpec(-6.0, 90.0, -6.0, 90.0, 6.0)
 # A velocity block budget under which GRID's 289 cells span at least three
 # blocks of every scenario below, the last block and its last slice partial:
-# 144-cell blocks of multistatic3 in 3-cell slices at 1,000 draws. The
-# default budget makes 192-cell blocks of multistatic3, two for GRID.
+# 126-cell blocks of multistatic3 in 3-cell slices at 1,000 draws. The
+# default budget makes 168-cell blocks of multistatic3, two for GRID.
 SMALL_BLOCK_BYTES = 24 * 1024
 
 

@@ -1,24 +1,24 @@
-"""The seven harmonic velocity terms against the per-kind reference form.
+"""The eight sum-of-squares velocity terms against the per-kind reference form.
 
 bounds._velocity_terms writes each link's velocity information kn * w w^T
-as seven terms whatever the link's kind (num times the entries of w w^T,
-den0, a, b, c: kn's denominator at speed s and heading x is
-den0 + s^2 (a + b cos 2x + c sin 2x)). The reference below is the direct
-form: twelve terms per link and a per-kind denominator evaluated at the
-velocity components. Per link, cell and heading, the (xx, xy, yy) entries
-of both agree to 1e-12 relative to the link's entry scale (|xx| + |yy|),
-and both are exactly zero where the link is unused.
+as eight terms whatever the link's kind (num times the entries of w w^T,
+den0 and two scaled normals m1, m2: kn's denominator at velocity v is
+den0 + (m1 . v)^2 + (m2 . v)^2). The reference below is the direct form:
+twelve terms per link and a per-kind denominator evaluated at the velocity
+components. Per link, cell and heading, the (xx, xy, yy) entries of both
+agree to 1e-12 relative to the link's entry scale (|xx| + |yy|), and both
+are exactly zero where the link is unused.
 """
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacbounds import bounds, engine, geom
 from isacbounds.engine import GridSpec
 from isacbounds.model import SPEED_OF_LIGHT as C
-from isacbounds.model import TargetState
+from isacbounds.model import Node, Scenario, SystemParams, TargetState
 
 from conftest import load
 from test_map_kernel import SCENARIOS, mixed_networks
@@ -97,7 +97,7 @@ def assert_table_matches_reference(s, cells, headings, speed):
     p = s.params
     t = TargetState(position=cells)
     table = bounds._link_rows(p, bounds.sensing_links(s), t, position=False, velocity=True)
-    assert table.velocity.shape[1] == len(bounds.VELOCITY_TERMS) == 7
+    assert table.velocity.shape[1] == len(bounds.VELOCITY_TERMS) == 8
     got_rows = bounds._velocity_rows(table, speed, bounds._heading_trig(headings))
     vx, vy = speed * np.cos(headings), speed * np.sin(headings)
     for link, used, got in zip(table.links, table.used, got_rows):
@@ -118,8 +118,21 @@ def test_shipped_scenarios_match_reference():
         assert_table_matches_reference(s, cells, headings, SPEED)
 
 
+# Node d's array edge passes 1e-12 rad beside cell (4, 6), whose den0 (as
+# cos^2 of the DoA) nearly vanishes, and one of that cell's seed-7 headings
+# lies 8e-4 rad from radial, where (m1 . v)^2 is small. Written as harmonics
+# in 2x, den0 + s^2 (a + b cos 2x + c sin 2x), the denominator cancels there
+# and is 2.3e-11 off the reference; as a sum of squares, 2.9e-14.
+EDGE_NETWORK = Scenario(params=SystemParams(), power_policy="fixed_per_node", nodes=(
+    Node(id="a", position=(0.0, 0.0), orientation=0.5, role="tx"),
+    Node(id="b", position=(6.0, 0.0), orientation=2.0, role="rx", tx_id="a"),
+    Node(id="c", position=(0.0, 6.0), orientation=-0.7, role="monostatic"),
+    Node(id="d", position=(3.0, 2.0), orientation=-0.24497866312586414, role="monostatic")))
+
+
 @settings(max_examples=40, deadline=None)
 @given(s=mixed_networks(), speed=st.floats(0.5, 60.0), seed=st.integers(0, 9))
+@example(s=EDGE_NETWORK, speed=1.0, seed=7)
 def test_random_mixed_networks_match_reference(s, speed, seed):
     grid = GridSpec(-1.0, 7.0, -1.0, 7.0, 1.0)
     cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
