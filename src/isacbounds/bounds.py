@@ -9,31 +9,33 @@ velocity bounds require at least two links with non-collinear geometry.
 Every network bound but the exact one reads one LinkTable, built once for
 a block of n target positions by one loop over the sensing links
 (_link_rows). The loop calls the per-link primitive, link_constants (a
-link's SNR, local DoA, ranges, target offsets, bistatic observables and
-position Jacobian as (n,) arrays, with a geom status per position), and
-keeps per link and position the status, whether the link is used (status
-OK), and its information: the position information and the velocity
-terms, each built only for a bound that reads it and zero where the link
-is unused. A bound adds the rows in link order from zero and inverts the
-sums as a stack. A degenerate position is flagged, not raised, so that
-coverage maps can render degenerate regions: geom.render_flags turns the
-link status codes and a bound's cell codes into flag strings, which are
-made only by the public bounds and their callers. heading_velocity_metrics
-leaves the flags of a velocity_table it is handed to its caller
-(engine.velocity_metrics renders a block's once, with the singular-draw
-counts).
+link's SNR, local DoA, ranges and target offsets, and a separated pair's
+bistatic observables, as (n,) arrays, with a geom status per position),
+and keeps per link and position the status, whether the link is used
+(status OK), and its information: the position information and the
+velocity terms, each built only for a bound that reads it and zero where
+the link is unused. A bound adds the rows in link order from zero and
+inverts the sums as a stack. A degenerate position is flagged, not raised,
+so that coverage maps can render degenerate regions: geom.render_flags
+turns the link status codes and a bound's cell codes into flag strings,
+which are made only by the public bounds and their callers.
+heading_velocity_metrics leaves the flags of a velocity_table it is handed
+to its caller (engine.velocity_metrics renders a block's once, with the
+singular-draw counts).
 
-The rank-one velocity piece kn * w w^T is computed in two halves: the
-factors that do not depend on the velocity, per position (_velocity_terms,
-the table's velocity terms; velocity_table builds such a table), and kn and
-the three entries per velocity draw (_velocity_draws). At velocity v,
-kn's denominator is the sum of squares den0 + (m1 . v)^2 + (m2 . v)^2 for
-either kind of link (m2 = 0 for a co-located node), so every link has the
-same eight terms and only _velocity_terms reads its kind. Every velocity
-bound uses both halves, so a Monte-Carlo heading average pays the
-per-position half once per position, whatever the number of draws. The
-exact bound reads link_constants and geom.jac_state (one state Jacobian for
-both kinds of link) instead, in a loop of its own.
+No information function reads a link's kind: a co-located node is a pair
+whose tx is its rx (its d_tx is its d_rx). _position_info maps a link's
+delay and DoA rows (those of geom.jac_state) onto the global position. The
+rank-one velocity piece kn * w w^T is computed in two halves: the factors
+that do not depend on the velocity, per position (_velocity_terms, the
+table's velocity terms; velocity_table builds such a table), and kn and
+the three entries per velocity draw (_velocity_draws). At velocity v, kn's
+denominator is the sum of squares den0 + (m1 . v)^2 + (m2 . v)^2 (m2 = 0
+for a co-located node, whose d_tx x d_rx is exactly zero). A Monte-Carlo
+heading average pays the per-position half once per position, whatever
+the number of draws. Only link_geometry and link_constants (which
+degeneracies a link can have) and the per-node labels read the kind. The
+exact bound reads link_constants and geom.jac_state in a loop of its own.
 
 The public bounds take a target whose position is one point, evaluated as
 a block of one, or an (n, 2) block (see TargetState). A block position
@@ -123,16 +125,15 @@ def link_geometry(link: SensingLink, t: TargetState):
 
 class LinkConstants(NamedTuple):
     """What every bound reads of one link at n target positions, as (n,)
-    arrays. Where the status is not OK the other fields may be inf or nan."""
+    arrays. Where the status is not OK the other fields may be inf or nan.
+    A co-located node's d_tx is its d_rx (the same arrays) and its ranges
+    are equal."""
 
     snr: np.ndarray             # per-antenna SNR before symbol division
     geometry: LinkGeometry      # ranges and local DoA at the rx
     d_tx: tuple                 # target minus tx position (x, y), m
     d_rx: tuple                 # target minus rx position (x, y), m
     obs: geom.LocalObservables | None  # separated pairs only
-    j_fwd: tuple | None         # separated pairs only: entries 00, 01, 10, 11 of
-                                # d(delay, doa)/d(local position), the inverse of
-                                # geom.jac_bis_position
     status: np.ndarray          # geom status code: OK where the link informs
 
 
@@ -146,16 +147,16 @@ def _no_constants(status: np.ndarray) -> np.ndarray:
 def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkConstants:
     """Constants of one link at the target's positions (one position is a
     block of one), with the status of each position: OK, or the first geom
-    code that applies. A separated pair's position Jacobian is inverted in
-    closed form; where its determinant is zero or not finite the status is
-    SINGULAR_JACOBIAN."""
+    code that applies. A separated pair is dropped where its ellipse
+    degenerates (BASELINE) or where the determinant of its inverse-direction
+    position Jacobian is zero or not finite (SINGULAR_JACOBIAN)."""
     t = _block(t)
     g, status = link_geometry(link, t)
     snr = link_snr(p, g, t.rcs, link.power_scale)["snr"]
     px, py = t.position[:, 0], t.position[:, 1]
     d_rx = (px - link.rx.position[0], py - link.rx.position[1])
     if link.kind == "monostatic":
-        return LinkConstants(snr, g, d_rx, d_rx, None, None, status)
+        return LinkConstants(snr, g, d_rx, d_rx, None, status)
     obs, _ = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
     ((j00, j01), (j10, j11)), ellipse = geom.jac_bis_position(obs)
     det = j00 * j11 - j01 * j10
@@ -163,7 +164,7 @@ def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkCo
     status = np.where((status == geom.OK) & ((det == 0.0) | ~np.isfinite(det)),
                       geom.SINGULAR_JACOBIAN, status)
     return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
-                         obs, (j11 / det, -j01 / det, -j10 / det, j00 / det), status)
+                         obs, status)
 
 
 # ---------------------------------------------------------------------------
@@ -224,49 +225,22 @@ def _matrix(xx, xy, yy) -> np.ndarray:
     return np.array([[xx, xy], [xy, yy]])
 
 
-def _rotate(info, angle: float):
-    """(xx, xy, yy) of R^T M R, R = geom.jac_rotation(angle): local-frame
-    information of a node oriented at angle in the global frame."""
-    c, s = math.cos(angle), math.sin(angle)
-    cc, ss, cs = c * c, s * s, c * s
-    xx, xy, yy = info
-    return (cc * xx - 2.0 * cs * xy + ss * yy,
-            cs * xx + (cc - ss) * xy - cs * yy,
-            ss * xx + 2.0 * cs * xy + cc * yy)
-
-
-def _mono_local_position_info(p: SystemParams, snr, p_local, doa):
-    """Local-frame position information (xx, xy, yy) of a co-located node,
-    element form; elementwise when p_local is a (2, n) array."""
-    fr = p.frame
-    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    x, y = p_local
-    r2 = x * x + y * y
-    xi = (math.pi**2 * k * m * nr * snr
-          / (6.0 * p.constellation.penalty * C**2 * r2**2))
-    cos2 = np.cos(doa) ** 2
-    df2k = 16.0 * p.subcarrier_spacing**2 * (k**2 - 1)
-    cnr = C**2 * (nr**2 - 1) * cos2
-    return (xi * (df2k * x * x * r2 + cnr * y * y),
-            xi * (x * y * (df2k * r2 - cnr)),
-            xi * (df2k * y * y * r2 + cnr * x * x))
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _position_info(p: SystemParams, link: SensingLink, lc: LinkConstants, t: TargetState):
+def _position_info(p: SystemParams, lc: LinkConstants):
     """Position information (xx, xy, yy) of one link at the n positions of
-    a block target, global frame; a separated pair's through the inverse
-    of its (delay, doa) -> local-position Jacobian."""
-    if link.kind == "monostatic":
-        local = _mono_local_position_info(p, lc.snr, geom.global_to_local(t.position, link.rx),
-                                          lc.geometry.doa_local)
-    else:
-        _, d_tau, d_theta = efim_diagonal(p, lc.snr, lc.obs.doa)
-        i00, i01, i10, i11 = lc.j_fwd
-        local = (i00 * i00 * d_tau + i10 * i10 * d_theta,
-                 i00 * i01 * d_tau + i10 * i11 * d_theta,
-                 i01 * i01 * d_tau + i11 * i11 * d_theta)
-    return _rotate(local, link.rx.orientation)
+    a block target, global frame: D_tau / c^2 u u^T + D_theta b b^T, where
+    u = d_tx / r_tx + d_rx / r_rx is c times the delay row and
+    b = (-dy_rx, dx_rx) / r_rx^2 the DoA row of geom.jac_state, and D_tau,
+    D_theta the link's efim_diagonal."""
+    _, d_tau, d_theta = efim_diagonal(p, lc.snr, lc.geometry.doa_local)
+    (xt, yt), (xr, yr) = lc.d_tx, lc.d_rx
+    r_tx, r_rx = lc.geometry.range_tx, lc.geometry.range_rx
+    ux, uy = xt / r_tx + xr / r_rx, yt / r_tx + yr / r_rx
+    bx, by = -yr / r_rx**2, xr / r_rx**2
+    d_tau = d_tau / C**2
+    return (d_tau * ux * ux + d_theta * bx * bx,
+            d_tau * ux * uy + d_theta * bx * by,
+            d_tau * uy * uy + d_theta * by * by)
 
 
 # Rows of a link's velocity terms (see _velocity_terms), in order: the
@@ -276,15 +250,16 @@ VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "m1x", "m1y", "m2x", "m2y")
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
+def _velocity_terms(p: SystemParams, lc: LinkConstants,
                     used: np.ndarray | None = None) -> np.ndarray:
     """Per-position half of the rank-one velocity information kn * w w^T of
     one link: every factor that does not depend on the velocity, as the
     VELOCITY_TERMS rows of an (8, n, 1) array over the n positions, each
     rank-one form weight * (n . v)^2 of kn's denominator as its normal
-    scaled by sqrt(weight). Where used is False the terms are those of a
-    link with no information (den0 = 1, the rest 0): exact zeros at any
-    velocity."""
+    scaled by sqrt(weight). A co-located node is a pair whose d_tx is its
+    d_rx: the cross product d_t x d_n is then exactly zero, and so is m2.
+    Where used is False the terms are those of a link with no information
+    (den0 = 1, the rest 0): exact zeros at any velocity."""
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
     ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
@@ -293,33 +268,23 @@ def _velocity_terms(p: SystemParams, link: SensingLink, lc: LinkConstants,
     cos2 = np.cos(lc.geometry.doa_local)[:, None] ** 2
     r_tx, r_rx = lc.geometry.range_tx[:, None], lc.geometry.range_rx[:, None]
     dxn, dyn = lc.d_rx[0][:, None], lc.d_rx[1][:, None]
-    if link.kind == "monostatic":
-        # kn = num / (eta * (48 ts^2 (M^2 - 1) (n . v)^2 + 3 (N_R^2 - 1) r^2 lam^2 cos^2)),
-        # n = (-dyn, dxn)
-        num = (8.0 * math.pi**2 * nr * k * m * ts**2 * (m**2 - 1) * (nr**2 - 1)) * snr * cos2
-        den0 = (eta * 3.0 * (nr**2 - 1) * lam**2) * r_rx**2 * cos2
-        w0, w1 = dxn, dyn
-        scale = math.sqrt(eta * 48.0 * ts**2 * (m**2 - 1))
-        normals = (-scale * dyn, scale * dxn, np.zeros_like(den0), np.zeros_like(den0))
-    else:
-        dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
-        dot_tn = dxn * dxt + dyn * dyt
-        ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
-        # kn = num / (12 df^2 ts^2 (K^2 - 1) (M^2 - 1) u1^2 + g u2), q_n = (-dyn, dxn) . v,
-        # q_t = (-dyt, dxt) . v, u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (...),
-        # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
-        g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
-        a_n = r_tx**3 * ell
-        a_t = r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt))
-        s1 = math.sqrt(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
-        s2 = np.sqrt(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2)
-        normals = (-s1 * (a_n * dyn + a_t * dyt), s1 * (a_n * dxn + a_t * dxt),
-                   -s2 * dyt, s2 * dxt)
-        den0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
-        a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
-                  * nr * (nr**2 - 1) / eta)
-        num = a_coef * snr * r_tx**4 * cos2 * ell**2
-        w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
+    dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
+    dot_tn = dxn * dxt + dyn * dyt
+    ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
+    # kn = num / (12 df^2 ts^2 (K^2 - 1) (M^2 - 1) u1^2 + g u2), q_n = (-dyn, dxn) . v,
+    # q_t = (-dyt, dxt) . v, u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (...),
+    # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
+    g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
+    a_n = r_tx**3 * ell
+    a_t = r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt))
+    s1 = math.sqrt(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
+    s2 = np.sqrt(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2)
+    normals = (-s1 * (a_n * dyn + a_t * dyt), s1 * (a_n * dxn + a_t * dxt), -s2 * dyt, s2 * dxt)
+    den0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
+    a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
+              * nr * (nr**2 - 1) / eta)
+    num = a_coef * snr * r_tx**4 * cos2 * ell**2
+    w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
     terms = np.array([num * (w0 * w0), num * (w0 * w1), num * (w1 * w1), den0, *normals])
     if used is not None and not used.all():
         terms[:, ~used] = 0.0
@@ -350,7 +315,7 @@ def node_velocity_efim(link: SensingLink, t: TargetState, p: SystemParams) -> np
     if _no_constants(lc.status[0]) or lc.status[0] == geom.BASELINE:
         geom.raise_status(lc.status[0], link.rx.id)
     trig = _heading_trig(t.heading) if t.speed > 0.0 else (0.0, 0.0)  # at rest: num / den0
-    terms = _velocity_terms(p, link, lc)
+    terms = _velocity_terms(p, lc)
     return _matrix(*(v[0, 0] for v in _velocity_draws(terms, t.speed, trig)))
 
 
@@ -403,9 +368,9 @@ def _link_rows(p: SystemParams, links, t: TargetState, position: bool = True,
         status[i], snr[i] = lc.status, lc.snr
         used = lc.status == geom.OK
         if position and used.any():
-            info[i] = np.where(used, _position_info(p, link, lc, t), 0.0)
+            info[i] = np.where(used, _position_info(p, lc), 0.0)
         if velocity:
-            terms[i] = _velocity_terms(p, link, lc, used)
+            terms[i] = _velocity_terms(p, lc, used)
     return LinkTable(tuple(links), status, status == geom.OK, snr, info, terms)
 
 
@@ -490,9 +455,11 @@ def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
 
 def _singular(det, xx, yy):
     """Where a 2x2 information matrix with determinant det and diagonal xx,
-    yy is numerically singular (det not above DET_RTOL |xx yy|, or not
-    finite); elementwise over arrays."""
-    return ~((det > DET_RTOL * np.abs(xx * yy)) & (det < math.inf))
+    yy is numerically singular (det not above DET_RTOL ((xx + yy) / 2)^2,
+    or not finite); elementwise over arrays. det / ((xx + yy) / 2)^2 is
+    4 l1 l2 / (l1 + l2)^2 of the eigenvalues l1, l2, so the test does not
+    depend on the frame the matrix is written in."""
+    return ~((det > DET_RTOL * (0.5 * (xx + yy)) ** 2) & (det < math.inf))
 
 
 def _trace_inverse_2x2(xx, xy, yy):

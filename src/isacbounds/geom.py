@@ -266,11 +266,11 @@ def jac_state(tx: Node, rx: Node, t: TargetState, wavelength: float) -> np.ndarr
     r_tx, r_rx = np.hypot(xt, yt), np.hypot(xr, yr)
     (vx, vy), lam = t.velocity, wavelength
     zero = np.zeros_like(r_rx)
+    r3_tx, r3_rx = r_tx**3, r_rx**3
+    cross = xt * yt / r3_tx + xr * yr / r3_rx
     jac = np.array([
-        [vx / lam * (yt**2 / r_tx**3 + yr**2 / r_rx**3)
-         - vy / lam * (xt * yt / r_tx**3 + xr * yr / r_rx**3),
-         -vx / lam * (xt * yt / r_tx**3 + xr * yr / r_rx**3)
-         + vy / lam * (xt**2 / r_tx**3 + xr**2 / r_rx**3),
+        [vx / lam * (yt**2 / r3_tx + yr**2 / r3_rx) - vy / lam * cross,
+         -vx / lam * cross + vy / lam * (xt**2 / r3_tx + xr**2 / r3_rx),
          xt / (lam * r_tx) + xr / (lam * r_rx),
          yt / (lam * r_tx) + yr / (lam * r_rx)],
         [xt / (C * r_tx) + xr / (C * r_rx), yt / (C * r_tx) + yr / (C * r_rx), zero, zero],

@@ -233,6 +233,32 @@ def check_velocity_rank(rng, draws: int) -> CheckResult:
     return CheckResult("single-link velocity information is rank one", worst, 1e-10)
 
 
+def check_velocity_schur(rng, draws: int) -> CheckResult:
+    """Each link's rank-one velocity information against the velocity Schur
+    complement of its 4x4 state information J^T diag(efim_diagonal) J,
+    J = geom.jac_state, for a co-located node and a separated pair per
+    draw."""
+    params = SystemParams()
+    worst = 0.0
+    for _ in range(draws):
+        tx, rx, t = _random_nodes(rng)
+        for l in (bounds.SensingLink(rx.id, rx, rx, "monostatic", 1.0),
+                  bounds.SensingLink(rx.id, tx, rx, "bistatic", 1.0)):
+            try:
+                v = bounds.node_velocity_efim(l, t, params)
+                g = bounds.link_geometry(l, t)
+            except geom.SingularGeometryError:
+                continue
+            snr = link.link_snr(params, g, t.rcs, l.power_scale)["snr"]
+            j = geom.jac_state(l.tx, l.rx, t, params.wavelength)
+            info = j.T @ np.diag(link.efim_diagonal(params, snr, g.doa_local)) @ j
+            ip, ipv, iv = info[:2, :2], info[:2, 2:], info[2:, 2:]
+            schur = iv - ipv.T @ np.linalg.solve(ip, ipv)
+            worst = max(worst, np.abs(v - schur).max() / np.abs(schur).max())
+    return CheckResult("single-link velocity information vs Schur complement of the state "
+                       "information", worst, 1e-6)
+
+
 def run_validation(seed: int = 0, draws: int = 50) -> list[CheckResult]:
     if seed < 0:
         raise ScenarioFormatError("seed must be >= 0")
@@ -245,4 +271,5 @@ def run_validation(seed: int = 0, draws: int = 50) -> list[CheckResult]:
         check_inverse_function_product(rng, min(draws * 2, 100)),
         check_degeneracy(rng, draws),
         check_velocity_rank(rng, draws),
+        check_velocity_schur(rng, min(draws * 2, 100)),
     ]

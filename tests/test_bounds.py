@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -211,26 +212,42 @@ class TestNetworkPositionEfim:
         np.testing.assert_allclose(
             e.values, EFIM_CENTER_REFERENCE * np.eye(2), rtol=1e-9, atol=1e-9)
 
-    def test_mono_element_form_matches_jacobian_pipeline(self, params, rng):
-        # the closed-form element display against the J^T E J route, in the
-        # node's local frame
-        from isacbounds.bounds import _mono_local_position_info
-        from isacbounds.link import LinkGeometry, efim_delay_angle, link_snr
-        for _ in range(10):
-            node = mono_node(tuple(rng.uniform(-60, 60, 2)),
-                             float(rng.uniform(-np.pi, np.pi)))
+    def test_position_info_matches_jacobian_pipeline(self, params, rng):
+        # the one delay/DoA-row formula of both link kinds against the
+        # J^T E J routes in the rx's local frame (the forward position
+        # Jacobian of a co-located node, the inverted ellipse Jacobian of a
+        # pair), rotated to the global frame
+        from isacbounds.link import LinkGeometry, efim_delay_angle
+        checked = {"monostatic": 0, "bistatic": 0}
+        while min(checked.values()) < 10:
+            rx = mono_node(tuple(rng.uniform(-60, 60, 2)), float(rng.uniform(-np.pi, np.pi)))
+            tx = Node(id="t", position=tuple(rng.uniform(-60, 60, 2)), role="tx")
             t = TargetState(position=tuple(rng.uniform(-60, 60, 2)))
             try:
-                doa, r = geom.local_doa(node, t.position)
+                doa, r = geom.local_doa(rx, t.position)
+                obs = geom.bis_observables(tx, rx, t, params.wavelength)
             except geom.SingularGeometryError:
                 continue
-            snr = link_snr(params, LinkGeometry.monostatic(r, doa), 1.0)["snr"]
-            p_local = geom.global_to_local(t.position, node)
-            xx, xy, yy = _mono_local_position_info(params, snr, p_local, doa)
-            element = np.array([[xx, xy], [xy, yy]])
-            e = efim_delay_angle(params, LinkGeometry.monostatic(r, doa), 1.0).values
-            j = geom.jac_mono_position(p_local)
-            np.testing.assert_allclose(element, j.T @ e @ j, rtol=1e-10)
+            p_local = geom.global_to_local(t.position, rx)
+            rot = geom.jac_rotation(rx.orientation)
+            for kind in checked:
+                if kind == "monostatic":
+                    link = bounds.SensingLink("n", rx, rx, kind, 1.0)
+                    g = LinkGeometry.monostatic(r, doa)
+                    j = geom.jac_mono_position(p_local)
+                else:
+                    link = bounds.SensingLink("n", tx, rx, kind, 1.0)
+                    g = LinkGeometry(kind=kind, range_tx=obs.bistatic_range - r,
+                                     range_rx=r, doa_local=doa)
+                    j = np.linalg.inv(geom.jac_bis_position(obs))
+                lc = bounds.link_constants(link, t, params)
+                if lc.status[0] != geom.OK:
+                    continue
+                e = efim_delay_angle(params, g, 1.0).values
+                pipeline = rot.T @ (j.T @ e @ j) @ rot
+                xx, xy, yy = (v[0] for v in bounds._position_info(params, lc))
+                np.testing.assert_allclose(np.array([[xx, xy], [xy, yy]]), pipeline, rtol=1e-10)
+                checked[kind] += 1
 
     def test_out_of_field_link_contributes_zero_with_flag(self, params):
         n1 = mono_node((0.0, 0.0), 0.0, "a")       # sees the target
@@ -246,6 +263,39 @@ class TestNetworkPositionEfim:
         with pytest.raises(NoInformationError):
             bounds.network_position_efim(
                 Scenario(params=params, nodes=(n,)), TargetState(position=(50.0, 5.0)))
+
+    def test_accurate_beside_a_baseline(self, multistatic3):
+        # tx1 (42, 0) and rx2 (42, 84) span the line x = 42. Every used
+        # link's table entries at cells within 2 m of it against a 50-digit
+        # evaluation of the same delay and DoA rows, with D_tau and D_theta
+        # the float efim_diagonal: within 1e-13 of |xx| + |yy|
+        s = engine.normalize_power(multistatic3)
+        xs = np.round(np.arange(40.0, 44.0001, 0.1), 6)
+        ys = np.round(np.arange(0.0, 84.0001, 0.3), 6)
+        cells = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+        t = TargetState(position=cells)
+        table = bounds._link_rows(s.params, bounds.sensing_links(s), t)
+        assert table.used.sum() > 2 * len(cells)
+        c = Decimal(geom.C)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for link, used, info in zip(table.links, table.used, table.position):
+                lc = bounds.link_constants(link, t, s.params)
+                _, d_tau, d_theta = efim_diagonal(s.params, lc.snr, lc.geometry.doa_local)
+                for k in np.flatnonzero(used).tolist():
+                    px, py = (Decimal(v) for v in cells[k].tolist())
+                    xt, yt = px - Decimal(link.tx.position[0]), py - Decimal(link.tx.position[1])
+                    xr, yr = px - Decimal(link.rx.position[0]), py - Decimal(link.rx.position[1])
+                    r_tx, r2_rx = (xt * xt + yt * yt).sqrt(), xr * xr + yr * yr
+                    r_rx = r2_rx.sqrt()
+                    ux, uy = (xt / r_tx + xr / r_rx) / c, (yt / r_tx + yr / r_rx) / c
+                    bx, by = -yr / r2_rx, xr / r2_rx
+                    dt, dth = Decimal(float(d_tau[k])), Decimal(float(d_theta[k]))
+                    want = (dt * ux * ux + dth * bx * bx, dt * ux * uy + dth * bx * by,
+                            dt * uy * uy + dth * by * by)
+                    err = max(abs(Decimal(g) - w) for g, w in zip(info[:, k].tolist(), want))
+                    assert err <= Decimal("1e-13") * (abs(want[0]) + abs(want[2])), \
+                        (link.node_id, cells[k])
 
 
 class TestNetworkPeb:
@@ -440,6 +490,30 @@ class TestNetworkVelocityBoundsExact:
         approx = bounds.network_velocity_bounds(s, t)["veb"]
         exact = bounds.network_velocity_bounds_exact(s, t)["veb_exact"]
         assert abs(approx - exact) / exact <= 0.05
+
+    def test_roundoff_axis_is_singular(self, params):
+        # both links' Doppler rows have a zero vy entry in exact arithmetic:
+        # the Schur complement is diag(1.6e9, 2.5e-27) up to roundoff, and
+        # only a frame-free test calls that singular
+        s = Scenario(params=params, power_policy="fixed_per_node", nodes=(
+            Node(id="b", position=(4.0, 0.0), role="tx"),
+            Node(id="a", position=(6.0, 5.0), orientation=3.0, role="rx", tx_id="b"),
+            mono_node((1.0, 2.0), 2.0, "c")))
+        t = TargetState(position=(0.0, 2.0), velocity=(math.cos(1.0), math.sin(1.0)))
+        res = bounds.network_velocity_bounds_exact(s, t)
+        assert res["veb_exact"] == math.inf
+        assert res["flags"] == ("velocity-info-singular",)
+
+
+class TestSingular:
+    def test_decision_does_not_depend_on_the_frame(self):
+        # diag(1, 1e-20) is rank one up to roundoff, diag(1, 1e-9) is not
+        for angle in np.linspace(0.0, math.pi, 37):
+            rot = geom.jac_rotation(angle)
+            for small, singular in ((1e-20, True), (1e-9, False)):
+                m = rot @ np.diag([1.0, small]) @ rot.T
+                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+                assert bounds._singular(det, m[0, 0], m[1, 1]) == singular
 
 
 class TestInvariances:

@@ -14,7 +14,10 @@ the bounds depend on the geometry only through distances and angles, so:
   through 2x;
 - on every shipped scenario, the exact VEB at v and at -v is the same: the
   Doppler row's position entries are odd in v and its velocity entries do
-  not depend on v, so the Schur complement of the summed 4x4 is even in v.
+  not depend on v, so the Schur complement of the summed 4x4 is even in v;
+- on every shipped scenario, a monostatic node and a tx/rx pair at its
+  position and orientation give the same PEB, VEB and heading CRLB and the
+  same inf and flagged cells: a co-located node is a pair whose tx is its rx.
 
 Targets sit at fractional offsets (0.37, 0.61) from the integer points the
 nodes sit on: every line through two such points (a tx-rx baseline among
@@ -175,3 +178,59 @@ def test_opposite_velocities_give_the_same_exact_veb():
             assert (np.isfinite(b["veb_exact"]) == finite).all() and finite.any()
             np.testing.assert_allclose(b["veb_exact"][finite], a["veb_exact"][finite],
                                        rtol=1e-12)
+
+
+def as_pairs(s):
+    """s with every monostatic node replaced by a tx node and an rx node of
+    its own at the same position and orientation, in the node's place."""
+    nodes = []
+    for n in s.nodes:
+        if n.role != "monostatic":
+            nodes.append(n)
+            continue
+        tx = replace(n, id=f"{n.id}.tx", role="tx")
+        nodes += [tx, replace(n, role="rx", tx_id=tx.id)]
+    return replace(s, nodes=tuple(nodes))
+
+
+def condition(table, speed, headings):
+    """Condition number of the summed velocity information of a
+    velocity_table at the speed and (n, D) headings."""
+    xx, xy, yy = bounds._velocity_sums(table, speed, bounds._heading_trig(headings))
+    half_trace = 0.5 * (xx + yy)
+    root = np.sqrt(np.maximum(half_trace**2 - (xx * yy - xy * xy), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (half_trace + root) / (half_trace - root)
+
+
+def test_colocated_node_equals_a_pair_at_its_place():
+    # A co-located node's two ranges are its one local-frame range, a
+    # pair's tx range is computed in the global frame: they can differ in
+    # the last bit, and the velocity bounds amplify that by the condition
+    # number kappa of the summed velocity information. So the velocity
+    # bounds agree to 1e-12 where kappa <= 100 (most draws) and to
+    # 1e-14 kappa beyond (measured: below 1.1e-15 kappa)
+    grid = GridSpec(-6.0, 90.0, -6.0, 90.0, 2.0)
+    cells = np.stack(np.meshgrid(grid.xs(), grid.ys()), axis=-1).reshape(-1, 2)
+    headings = np.random.default_rng(11).uniform(-math.pi, math.pi, (len(cells), 16))
+    for name in SCENARIOS:
+        s = engine.normalize_power(load(name))
+        pairs = engine.normalize_power(as_pairs(load(name)))
+        a = bounds.evaluate_bounds(s, TargetState(position=cells))
+        b = bounds.evaluate_bounds(pairs, TargetState(position=cells))
+        assert [bool(f) for f in a.flags] == [bool(f) for f in b.flags]
+        finite = np.isfinite(a.peb)
+        assert (np.isfinite(b.peb) == finite).all() and finite.any()
+        np.testing.assert_allclose(b.peb[finite], a.peb[finite], rtol=1e-12)
+        va = bounds.heading_velocity_metrics(s, cells, 22.0, headings)
+        vb = bounds.heading_velocity_metrics(pairs, cells, 22.0, headings)
+        assert [bool(f) for f in va["flags"]] == [bool(f) for f in vb["flags"]]
+        assert (va["singular"] == vb["singular"]).all() and not va["singular"].all()
+        finite = ~va["singular"]
+        kappa = condition(bounds.velocity_table(s, cells), 22.0, headings)[finite]
+        rtol = 1e-12 * np.maximum(1.0, kappa / 100.0)
+        for key in ("veb", "crlb_heading"):
+            assert (np.isinf(va[key]) == va["singular"]).all()
+            assert (np.isinf(vb[key]) == vb["singular"]).all()
+            want, got = va[key][finite], vb[key][finite]
+            assert (np.abs(got - want) <= rtol * want).all()
