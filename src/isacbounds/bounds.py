@@ -9,38 +9,39 @@ velocity bounds require at least two links with non-collinear geometry.
 Every network bound but the exact one reads one LinkTable, built once for
 a block of n target positions by one loop over the sensing links
 (_link_rows). The loop calls the per-link primitive, link_constants (a
-link's SNR, local DoA, ranges and target offsets, and a separated pair's
-bistatic observables, as (n,) arrays, with a geom status per position),
-and keeps per link and position the status, whether the link is used
-(status OK), and its information: the position information and the
-velocity terms, each built only for a bound that reads it and zero where
-the link is unused. A bound adds the rows in link order from zero and
-inverts the sums as a stack. A degenerate position is flagged, not raised,
-so that coverage maps can render degenerate regions: geom.render_flags
-turns the link status codes and a bound's cell codes into flag strings,
-which are made only by the public bounds and their callers.
-heading_velocity_metrics leaves the flags of a velocity_table it is handed
-to its caller (engine.velocity_metrics renders a block's once, with the
-singular-draw counts).
+link's SNR, local DoA, ranges and target offsets, as (n,) arrays, with a
+geom status per position), and keeps per link and position the status,
+whether the link is used (status OK), and its information: the position
+information and the velocity terms, each built only for a bound that reads
+it and zero where the link is unused. A bound adds the rows in link order
+from zero and inverts the sums as a stack. A degenerate position is
+flagged, not raised, so that coverage maps can render degenerate regions:
+geom.render_flags turns the link status codes and a bound's cell codes
+into flag strings, which are made only by the public bounds and their
+callers. heading_velocity_metrics leaves the flags of a velocity_table it
+is handed to its caller (engine.velocity_metrics renders a block's once,
+with the singular-draw counts).
 
 No information function reads a link's kind: a co-located node is a pair
-whose tx is its rx (its d_tx is its d_rx). _position_info maps a link's
-delay and DoA rows (those of geom.jac_state) onto the global position. The
-rank-one velocity piece kn * w w^T is computed in two halves: the factors
-that do not depend on the velocity, per position (_velocity_terms, the
-table's velocity terms; velocity_table builds such a table), and kn and
-the three entries per velocity draw (_velocity_draws). At velocity v, kn's
-denominator is the sum of squares den0 + (m1 . v)^2 + (m2 . v)^2 (m2 = 0
-for a co-located node, whose d_tx x d_rx is exactly zero). A Monte-Carlo
-heading average pays the per-position half once per position, whatever
-the number of draws. Only link_geometry and link_constants (which
+whose tx is its rx (its d_tx is its d_rx). Both read _efim_and_rows, the
+link's efim_diagonal and its delay and DoA rows (those of geom.jac_state).
+_position_info maps them onto the global position. _velocity_terms is the
+per-position half of the rank-one velocity piece kn * u u^T, the
+Sherman-Morrison form of the link's own velocity Schur complement (the
+table's velocity terms; velocity_table builds such a table); kn and the
+three entries per velocity draw are the other half (_velocity_draws). At
+velocity v, kn's denominator is den0 + (m1 . v)^2 + (m2 . v)^2, with a DoA
+and a delay square (m2 = 0 for a co-located node, whose d_tx x d_rx is
+exactly zero), so a Monte-Carlo heading average pays the per-position half
+once per position. Only link_geometry and link_constants (which
 degeneracies a link can have) and the per-node labels read the kind. The
 exact bound reads link_constants and geom.jac_state in a loop of its own.
 
 The public bounds take a target whose position is one point, evaluated as
-a block of one, or an (n, 2) block (see TargetState). A block position
-that no link informs gets +inf and the flag of geom.NO_INFORMATION; one point
-raises NoInformationError instead.
+a block of one, or an (n, 2) block (see TargetState), for which they return
+(n,) arrays and n flag tuples; network_position_efim, one FisherMatrix,
+takes one point. A block position that no link informs gets +inf and the
+flag of geom.NO_INFORMATION; one point raises NoInformationError instead.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geom
-from .errors import UndefinedHeadingError
+from .errors import BoundsError, UndefinedHeadingError
 from .link import FisherMatrix, LinkGeometry, efim_diagonal, link_snr
 from .model import SPEED_OF_LIGHT, Node, Scenario, SystemParams, TargetState
 
@@ -124,16 +125,15 @@ def link_geometry(link: SensingLink, t: TargetState):
 
 
 class LinkConstants(NamedTuple):
-    """What every bound reads of one link at n target positions, as (n,)
-    arrays. Where the status is not OK the other fields may be inf or nan.
-    A co-located node's d_tx is its d_rx (the same arrays) and its ranges
-    are equal."""
+    """What the information of one link reads at n target positions, as
+    (n,) arrays. Where the status is not OK the other fields may be inf or
+    nan. A co-located node's d_tx is its d_rx (the same arrays) and its
+    ranges are equal."""
 
     snr: np.ndarray             # per-antenna SNR before symbol division
     geometry: LinkGeometry      # ranges and local DoA at the rx
     d_tx: tuple                 # target minus tx position (x, y), m
     d_rx: tuple                 # target minus rx position (x, y), m
-    obs: geom.LocalObservables | None  # separated pairs only
     status: np.ndarray          # geom status code: OK where the link informs
 
 
@@ -156,15 +156,14 @@ def link_constants(link: SensingLink, t: TargetState, p: SystemParams) -> LinkCo
     px, py = t.position[:, 0], t.position[:, 1]
     d_rx = (px - link.rx.position[0], py - link.rx.position[1])
     if link.kind == "monostatic":
-        return LinkConstants(snr, g, d_rx, d_rx, None, status)
+        return LinkConstants(snr, g, d_rx, d_rx, status)
     obs, _ = geom.bis_observables(link.tx, link.rx, t, p.wavelength)
     ((j00, j01), (j10, j11)), ellipse = geom.jac_bis_position(obs)
     det = j00 * j11 - j01 * j10
     status = np.where(status == geom.OK, ellipse, status)
     status = np.where((status == geom.OK) & ((det == 0.0) | ~np.isfinite(det)),
                       geom.SINGULAR_JACOBIAN, status)
-    return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx,
-                         obs, status)
+    return LinkConstants(snr, g, (px - link.tx.position[0], py - link.tx.position[1]), d_rx, status)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +200,8 @@ def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float
     lc = _scalar_constants(SensingLink(rx.id, tx, rx, "bistatic", tx.power_scale), t, p)
     if lc.status[0] == geom.BASELINE or p.n_rx_ant == 1:  # (as peb_mono_closed)
         return math.inf
-    obs, snr = lc.obs, lc.snr[0]
-    rbar, l, thl = obs.bistatic_range[0], obs.baseline, obs.look_angle[0]
+    obs, snr = geom.bis_observables(tx, rx, t, p.wavelength), lc.snr[0]
+    rbar, l, thl = obs.bistatic_range, obs.baseline, obs.look_angle
     guard = rbar - l * math.cos(thl)
     fr = p.frame
     k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
@@ -210,7 +209,7 @@ def peb_bis_closed(p: SystemParams, tx: Node, rx: Node, t: TargetState) -> float
     a = l**2 + rbar**2 - 2.0 * l * rbar * math.cos(thl)
     crlb = (3.0 * eta * a / (8.0 * math.pi**2 * snr * nr * k * m * guard**4)) * (
         C**2 * a / (p.subcarrier_spacing**2 * (k**2 - 1))
-        + 4.0 * (l**2 - rbar**2) ** 2 / ((nr**2 - 1) * math.cos(obs.doa[0]) ** 2)
+        + 4.0 * (l**2 - rbar**2) ** 2 / ((nr**2 - 1) * math.cos(obs.doa) ** 2)
     )
     return math.sqrt(crlb)
 
@@ -225,18 +224,22 @@ def _matrix(xx, xy, yy) -> np.ndarray:
     return np.array([[xx, xy], [xy, yy]])
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _position_info(p: SystemParams, lc: LinkConstants):
-    """Position information (xx, xy, yy) of one link at the n positions of
-    a block target, global frame: D_tau / c^2 u u^T + D_theta b b^T, where
-    u = d_tx / r_tx + d_rx / r_rx is c times the delay row and
-    b = (-dy_rx, dx_rx) / r_rx^2 the DoA row of geom.jac_state, and D_tau,
-    D_theta the link's efim_diagonal."""
-    _, d_tau, d_theta = efim_diagonal(p, lc.snr, lc.geometry.doa_local)
+def _efim_and_rows(p: SystemParams, lc: LinkConstants):
+    """(D, u, b) of one link at n positions: D = (D_fd, D_tau, D_theta), its
+    efim_diagonal; u = d_tx / r_tx + d_rx / r_rx, c times its delay row, and
+    b = (-dy_rx, dx_rx) / r_rx^2, its DoA row (geom.jac_state), as (x, y)."""
     (xt, yt), (xr, yr) = lc.d_tx, lc.d_rx
     r_tx, r_rx = lc.geometry.range_tx, lc.geometry.range_rx
-    ux, uy = xt / r_tx + xr / r_rx, yt / r_tx + yr / r_rx
-    bx, by = -yr / r_rx**2, xr / r_rx**2
+    return (efim_diagonal(p, lc.snr, lc.geometry.doa_local),
+            (xt / r_tx + xr / r_rx, yt / r_tx + yr / r_rx), (-yr / r_rx**2, xr / r_rx**2))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _position_info(p: SystemParams, lc: LinkConstants):
+    """Position information Q = D_tau / c^2 u u^T + D_theta b b^T of one
+    link at the n positions of a block target, global frame, as its
+    (xx, xy, yy) entries (see _efim_and_rows)."""
+    (_, d_tau, d_theta), (ux, uy), (bx, by) = _efim_and_rows(p, lc)
     d_tau = d_tau / C**2
     return (d_tau * ux * ux + d_theta * bx * bx,
             d_tau * ux * uy + d_theta * bx * by,
@@ -244,7 +247,7 @@ def _position_info(p: SystemParams, lc: LinkConstants):
 
 
 # Rows of a link's velocity terms (see _velocity_terms), in order: the
-# numerator of kn times each entry of w w^T, and the denominator of kn at
+# numerator of kn times each entry of u u^T, and the denominator of kn at
 # velocity v, den0 + (m1 . v)^2 + (m2 . v)^2, a sum of squares.
 VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "m1x", "m1y", "m2x", "m2y")
 
@@ -252,40 +255,32 @@ VELOCITY_TERMS = ("nxx", "nxy", "nyy", "den0", "m1x", "m1y", "m2x", "m2y")
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _velocity_terms(p: SystemParams, lc: LinkConstants,
                     used: np.ndarray | None = None) -> np.ndarray:
-    """Per-position half of the rank-one velocity information kn * w w^T of
-    one link: every factor that does not depend on the velocity, as the
-    VELOCITY_TERMS rows of an (8, n, 1) array over the n positions, each
-    rank-one form weight * (n . v)^2 of kn's denominator as its normal
-    scaled by sqrt(weight). A co-located node is a pair whose d_tx is its
-    d_rx: the cross product d_t x d_n is then exactly zero, and so is m2.
-    Where used is False the terms are those of a link with no information
-    (den0 = 1, the rest 0): exact zeros at any velocity."""
-    fr = p.frame
-    k, m, nr = fr.k_subcarriers, fr.m_symbols, p.n_rx_ant
-    ts, df, lam = p.symbol_duration, p.subcarrier_spacing, p.wavelength
-    eta = p.constellation.penalty
-    snr = lc.snr[:, None]
-    cos2 = np.cos(lc.geometry.doa_local)[:, None] ** 2
-    r_tx, r_rx = lc.geometry.range_tx[:, None], lc.geometry.range_rx[:, None]
-    dxn, dyn = lc.d_rx[0][:, None], lc.d_rx[1][:, None]
-    dxt, dyt = lc.d_tx[0][:, None], lc.d_tx[1][:, None]
-    dot_tn = dxn * dxt + dyn * dyt
-    ell = r_tx * (dxn * dxn + dyn * dyn) + r_rx * dot_tn
-    # kn = num / (12 df^2 ts^2 (K^2 - 1) (M^2 - 1) u1^2 + g u2), q_n = (-dyn, dxn) . v,
-    # q_t = (-dyt, dxt) . v, u1 = a_n q_n + a_t q_t, a_n = r_tx^3 ell, a_t = r_rx^3 (...),
-    # u2 = C^2 ts^2 (M^2 - 1) r_rx^2 (d_t x d_n)^2 q_t^2 + lam^2 df^2 (K^2 - 1) r_tx^4 ell^2
-    g = 3.0 * (nr**2 - 1) * r_rx**2 * r_tx**2 * cos2
-    a_n = r_tx**3 * ell
-    a_t = r_rx**3 * (r_tx * dot_tn + r_rx * (dxt * dxt + dyt * dyt))
-    s1 = math.sqrt(12.0 * df**2 * ts**2 * (k**2 - 1) * (m**2 - 1))
-    s2 = np.sqrt(g * (C**2 * ts**2 * (m**2 - 1)) * r_rx**2 * (dxt * dyn - dxn * dyt) ** 2)
-    normals = (-s1 * (a_n * dyn + a_t * dyt), s1 * (a_n * dxn + a_t * dxt), -s2 * dyt, s2 * dxt)
-    den0 = g * (lam**2 * df**2 * (k**2 - 1)) * r_tx**4 * ell**2
-    a_coef = (2.0 * math.pi**2 * df**2 * ts**2 * k * (k**2 - 1) * m * (m**2 - 1)
-              * nr * (nr**2 - 1) / eta)
-    num = a_coef * snr * r_tx**4 * cos2 * ell**2
-    w0, w1 = r_tx * dxn + r_rx * dxt, r_tx * dyn + r_rx * dyt
-    terms = np.array([num * (w0 * w0), num * (w0 * w1), num * (w1 * w1), den0, *normals])
+    """Per-position half of the rank-one velocity information kn * u u^T of
+    one link, the velocity Schur complement of its own (x, y, vx, vy)
+    information: every factor that does not depend on the velocity, as the
+    VELOCITY_TERMS rows of an (8, n, 1) array over the n positions, read
+    from _efim_and_rows alone. Where used is False the terms are those of a
+    link with no information (den0 = 1, the rest 0): exact zeros."""
+    (d_fd, d_tau, d_theta), (ux, uy), (bx, by) = _efim_and_rows(p, lc)
+    (xt, yt), (xr, yr) = lc.d_tx, lc.d_rx
+    r3_tx, r_rx, lam = lc.geometry.range_tx**3, lc.geometry.range_rx, p.wavelength
+    # Doppler position row a = M v / lam, M = sum_k p_k p_k^T / r_k^3, p_k = (-y_k, x_k)
+    # (k = tx, rx). The link's information has the blocks Q + D_fd a a^T (position,
+    # Q = _position_info), D_fd a u^T / lam (cross), D_fd u u^T / lam^2 (velocity),
+    # whose Schur complement is, by Sherman-Morrison, D_fd / lam^2 u u^T over
+    # 1 + D_fd a^T Q^-1 a. In the basis [u b], a^T Q^-1 a is
+    # (c^2 / D_tau (a x b)^2 + (u x a)^2 / D_theta) / det[u b]^2; above and below
+    # times den0 = D_theta det[u b]^2 leave the DoA square D_fd (u x a)^2 = (m1 . v)^2
+    # and the delay square D_fd c^2 D_theta / D_tau (a x b)^2 = (m2 . v)^2, as
+    # a x b = (d_tx x d_rx) / (lam r_rx^2 r_tx^3) p_tx . v (zero when d_tx is d_rx).
+    den0 = d_theta * (ux * by - uy * bx) ** 2
+    num = d_fd / lam**2 * den0
+    c_tx, c_rx = (ux * xt + uy * yt) / r3_tx, (ux * xr + uy * yr) / r_rx**3
+    s1 = np.sqrt(d_fd) / lam
+    s2 = C / lam * np.sqrt(d_fd * d_theta / d_tau) * (xt * yr - yt * xr) / (r_rx**2 * r3_tx)
+    terms = np.array([num * (ux * ux), num * (ux * uy), num * (uy * uy), den0,
+                      -s1 * (c_tx * yt + c_rx * yr), s1 * (c_tx * xt + c_rx * xr),
+                      -s2 * yt, s2 * xt])[:, :, None]
     if used is not None and not used.all():
         terms[:, ~used] = 0.0
         terms[3, ~used] = 1.0  # den0
@@ -294,7 +289,7 @@ def _velocity_terms(p: SystemParams, lc: LinkConstants,
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _velocity_draws(terms, speed: float, trig):
-    """Per-draw half: the (xx, xy, yy) entries of kn * w w^T, global frame,
+    """Per-draw half: the (xx, xy, yy) entries of kn * u u^T, global frame,
     from a link's _velocity_terms (rows of (n, 1) columns), the speed and
     the _heading_trig of headings broadcasting against them: (n, D) for D
     headings per position give (n, D) entries, scalars (n, 1)."""
@@ -449,7 +444,11 @@ def _network_sums(s: Scenario, t: TargetState):
 
 
 def network_position_efim(s: Scenario, t: TargetState) -> FisherMatrix:
-    """Sum of per-link position information in the global frame."""
+    """Sum of per-link position information in the global frame, at a
+    target with one position (evaluate_bounds gives a block's stack)."""
+    if np.ndim(t.position) == 2:
+        raise BoundsError("network_position_efim takes one position; evaluate_bounds gives "
+                          "the (2, 2, n) position information of a block")
     return FisherMatrix(labels=("x", "y"), values=_matrix(*_network_sums(s, t)[2][:, 0]))
 
 
@@ -470,10 +469,11 @@ def _trace_inverse_2x2(xx, xy, yy):
     return np.where(bounded, xx + yy, math.inf) / np.where(bounded, det, 1.0)
 
 
-def network_peb(s: Scenario, t: TargetState) -> float:
+def network_peb(s: Scenario, t: TargetState) -> float | np.ndarray:
     """Network position error bound, sqrt of the trace of the inverse
-    summed information; +inf when the summed information is singular."""
-    return float(np.sqrt(_trace_inverse_2x2(*_network_sums(s, t)[2]))[0])
+    summed information; +inf when the summed information is singular. A
+    float for one position, (n,) for a block: evaluate_bounds(s, t).peb."""
+    return evaluate_bounds(s, t).peb
 
 
 def _heading_trig(heading):
@@ -502,15 +502,21 @@ def network_velocity_bounds(s: Scenario, t: TargetState) -> dict:
     """Velocity error bound and heading CRLB from per-link rank-one pieces.
 
     Requires a moving target; returns +inf values with a flag when the
-    summed velocity information is numerically singular.
+    summed velocity information is numerically singular. A block of n
+    positions gives (n,) values, a (2, 2, n) velocity_efim and n flag
+    tuples, as network_velocity_bounds_exact.
     """
     if t.speed == 0.0:
         raise UndefinedHeadingError("velocity bounds undefined at zero speed")
     table, _, _, total = _network_sums(s, t)
     crlb_speed, crlb_heading, singular = _polar_crlbs(*total, t.speed, _heading_trig(t.heading))
-    return {"veb": float(np.sqrt(crlb_speed)[0]), "crlb_heading": float(crlb_heading[0]),
-            "velocity_efim": _matrix(*total[:, 0]),
-            "flags": table.flags([(geom.VELOCITY_SINGULAR, singular)])[0]}
+    res = {"veb": np.sqrt(crlb_speed), "crlb_heading": crlb_heading,
+           "velocity_efim": _matrix(*total),
+           "flags": table.flags([(geom.VELOCITY_SINGULAR, singular)])}
+    if np.ndim(t.position) == 2:
+        return res
+    return {"veb": float(res["veb"][0]), "crlb_heading": float(crlb_heading[0]),
+            "velocity_efim": res["velocity_efim"][:, :, 0], "flags": res["flags"][0]}
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

@@ -262,6 +262,8 @@ def check_velocity_schur(rng, draws: int) -> CheckResult:
 def run_validation(seed: int = 0, draws: int = 50) -> list[CheckResult]:
     if seed < 0:
         raise ScenarioFormatError("seed must be >= 0")
+    if draws < 1:  # no draw runs no check: nothing would have passed
+        raise ScenarioFormatError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     return [
         check_fim_oracle(rng, draws),

@@ -15,6 +15,7 @@ from isacbounds import (
     geom,
 )
 from isacbounds.errors import (
+    BoundsError,
     NoInformationError,
     UndefinedHeadingError,
 )
@@ -26,6 +27,8 @@ PEB_MONO_REFERENCE = 0.16531047718533615   # node (42,0) facing +y, target (70,5
 EFIM_CENTER_REFERENCE = 2137.445398972106   # 4-node shared-budget layout at (42,42)
 # moving target on the tx1-rx2 baseline of multistatic3
 BASELINE_TARGET = TargetState(position=(42.0, 30.0), velocity=(10.0, 5.0))
+# a block of three positions on mono4 for the block forms of the network bounds
+BLOCK = np.array([(10.0, 20.0), (40.0, 40.0), (70.0, 30.0)])
 
 
 def mono_node(pos, orient, node_id="n"):
@@ -264,6 +267,10 @@ class TestNetworkPositionEfim:
             bounds.network_position_efim(
                 Scenario(params=params, nodes=(n,)), TargetState(position=(50.0, 5.0)))
 
+    def test_block_raises_naming_evaluate_bounds(self, mono4):
+        with pytest.raises(BoundsError, match="evaluate_bounds"):
+            bounds.network_position_efim(mono4, TargetState(position=BLOCK))
+
     def test_accurate_beside_a_baseline(self, multistatic3):
         # tx1 (42, 0) and rx2 (42, 84) span the line x = 42. Every used
         # link's table entries at cells within 2 m of it against a 50-digit
@@ -319,6 +326,16 @@ class TestNetworkPeb:
             except NoInformationError:
                 continue
             assert peb_big <= peb_small * (1.0 + 1e-12)
+
+    def test_block_gives_one_bound_per_position(self, mono4):
+        t = TargetState(position=BLOCK)
+        peb = bounds.network_peb(mono4, t)
+        assert peb.shape == (3,)
+        assert np.array_equal(peb, bounds.evaluate_bounds(mono4, t).peb)
+        for k, xy in enumerate(BLOCK):
+            one = bounds.network_peb(mono4, TargetState(position=tuple(xy)))
+            assert isinstance(one, float)
+            assert peb[k] == pytest.approx(one, rel=1e-12)
 
 
 class TestNodeVelocityEfim:
@@ -430,6 +447,23 @@ class TestNetworkVelocityBounds:
             m = j.T @ res["velocity_efim"] @ j
             crlb_speed = np.linalg.inv(m)[0, 0]
             assert res["veb"] ** 2 == pytest.approx(crlb_speed, rel=1e-9)
+
+    def test_block_gives_one_bound_per_position(self, mono4):
+        # bs1 and bs2 of mono4 do not see (0, 0): that position is flagged
+        block = np.vstack([BLOCK, [(0.0, 0.0)]])
+        res = bounds.network_velocity_bounds(
+            mono4, TargetState(position=block, velocity=(10.0, 5.0)))
+        assert res["veb"].shape == res["crlb_heading"].shape == (4,)
+        assert res["velocity_efim"].shape == (2, 2, 4) and len(res["flags"]) == 4
+        assert res["flags"][3] == ("bs1: out-of-field", "bs2: out-of-field")
+        for k, xy in enumerate(block):
+            one = bounds.network_velocity_bounds(
+                mono4, TargetState(position=tuple(xy), velocity=(10.0, 5.0)))
+            assert res["veb"][k] == pytest.approx(one["veb"], rel=1e-12)
+            assert res["crlb_heading"][k] == pytest.approx(one["crlb_heading"], rel=1e-12)
+            np.testing.assert_allclose(res["velocity_efim"][:, :, k], one["velocity_efim"],
+                                       rtol=1e-12)
+            assert res["flags"][k] == one["flags"]
 
     def test_zero_speed_raises(self, params):
         n1 = mono_node((0.0, 0.0), 0.0, "a")

@@ -227,6 +227,57 @@ class TestValidateVerb:
         assert "degeneracy,1,1e-09,FAIL" in captured.out.splitlines()
         assert captured.err == "1 check(s) failed\n"
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_no_draws_exits_2(self, draws, capsys):
+        # a battery that draws nothing checks nothing: it must not pass
+        assert run(["validate", "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: draws must be >= 1\n" and captured.out == ""
+
+
+NODE = '{"id": "a", "position": [0, 0]}'
+
+# (arguments, scenario document or None, fragment of the message); a
+# document is written to a file and read by `peb --target 30,30`
+INPUT_CHECKS = [
+    (["peb", "--scenario", MONO4, "--target", "1,x"], None,
+     "--target must be numeric, got '1,x'"),
+    (["heatmap", "--scenario", MONO4, "--grid", "0:1,0:1:1"], None,
+     "grid axis must be 'min:max:step', got '0:1'"),
+    (["heatmap", "--scenario", MONO4, "--grid", "0:a:1,0:1:1"], None,
+     "grid axis must be numeric, got '0:a:1'"),
+    (["sweep", "--scenario", MONO4, "--target", "30,30", "--parameter", "n_rx_ant",
+      "--values", "1,x"], None, "--values must be numeric, got '1,x'"),
+    (["validate", "--seed", "-1"], None, "seed must be >= 0"),
+    (["veb", "--scenario", MONO4, "--target", "30,30", "--mc", "4", "--seed", "-1"], None,
+     "mc seed must be >= 0"),
+    ([], '{"params": {"constellation": "8psk"}, "nodes": [%s]}' % NODE,
+     "params.constellation: unknown constellation '8psk'"),
+    ([], '{"params": {"constellation": [[1, 0], [1]]}, "nodes": [%s]}' % NODE,
+     "params.constellation: constellation points must be [re, im] pairs"),
+    ([], '{"params": {"constellation": 5}, "nodes": [%s]}' % NODE,
+     "params.constellation: constellation must be a name or a point list"),
+    ([], '{"params": {"n_rx_ant": 1e400}, "nodes": [%s]}' % NODE,
+     "params.n_rx_ant: not a number"),
+    ([], '{"params": {"n_rx_ant": 2.5}, "nodes": [%s]}' % NODE,
+     "params.n_rx_ant: must be an integer, got 2.5"),
+    ([], '{"nodes": [{"id": "a"}]}', "nodes[0]: missing required key 'position'"),
+    ([], '{"nodes": [{"id": "a", "position": [1]}]}', "nodes[0].position: expected [x, y]"),
+    ([], '{"nodes": [%s], "frobnicate": 1}' % NODE, "scenario: unknown key 'frobnicate'"),
+    ([], "[]", "scenario document must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("argv, document, fragment", INPUT_CHECKS)
+def test_input_check_exits_2(tmp_path, argv, document, fragment, capsys):
+    if document is not None:
+        path = tmp_path / "s.json"
+        path.write_text(document)
+        argv = ["peb", "--scenario", str(path), "--target", "30,30"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+
 
 def write_doc(tmp_path, nodes, name="s.json"):
     path = tmp_path / name

@@ -1,8 +1,10 @@
 """Smoke test of the experiment scripts: each main() runs with tiny
-arguments and writes its CSVs, each with its header and rows."""
+arguments and writes its CSVs, each with its header and rows, and
+compare_outputs finds a checkout's outputs identical to its own."""
 import csv
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -41,3 +43,15 @@ def test_script_writes_csvs(name, tmp_path):
                 rows = list(csv.reader(fh))
             assert rows[0] == header, path.name
             assert len(rows) > 1 and all(len(row) == len(header) for row in rows[1:]), path.name
+
+
+def test_compare_outputs_of_one_checkout_agree(monkeypatch, capsys):
+    # the same checkout on both sides: every output byte-identical, exit 0
+    monkeypatch.chdir(SCRIPTS.parent)
+    argv = ["--parent", ".", "--change", ".", "--step", "42", "--draws", "2"]
+    assert load_script("compare_outputs").main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    compared, identical = re.fullmatch(r"outputs compared: (\d+), byte-identical: (\d+)",
+                                       out[0]).groups()
+    assert compared == identical and int(compared) > 0
+    assert out[-1] == "row-count, flag, text or inf/nan differences: 0"
